@@ -1,46 +1,33 @@
 """The MILP hot-path benchmark: the tracked perf trajectory.
 
-Runs every scenario in up to three modes per branch-and-bound backend:
-
-- **legacy** -- the pre-overhaul solve path: no presolve, cold node
-  LPs, most-fractional branching, Bland pricing, no incumbent seed,
-  dense arrays;
-- **current** -- the PR 2 defaults: presolve, warm starts (simplex
-  backend), pseudo-cost branching, Dantzig pricing, heuristic
-  incumbent seeding -- still on the dense lowering and per-call
-  ``linprog`` node solves;
-- **sparse** -- today's defaults: everything above plus the CSR
-  sparse core (revised simplex / persistent HiGHS node LPs) and
-  root + node cutting planes.
-
-All modes must produce the *same* objective on every scenario (the
-optimisations are performance-only); each upgrade's speedup is the
-geometric mean of per-scenario wall-clock ratios.  The e4/e5 scaling
-scenarios additionally get their own ``sparse`` geomean
-(``sparse_scaling_geomean``), the number the perf acceptance gate
-tracks.  The *legacy* mode is skipped on the e5 scenarios -- it takes
-minutes there and its trajectory is already pinned by the smaller
-scenarios.
+Runs every scenario on both branch-and-bound backends with the solver
+defaults -- presolve, warm starts (simplex backend), pseudo-cost
+branching, Dantzig pricing, heuristic incumbent seeding, the CSR core
+(revised simplex / persistent HiGHS node LPs) and root + node cutting
+planes -- and records objective, nodes, pivots and wall-clock per
+(scenario, backend).  Wall-clock is whatever the host gives us; the
+node/pivot counts are deterministic and the real regression signal.
+``check_bench_regression.py`` gates them, and the objectives, against
+the committed baseline.
 
 The small/medium scenarios additionally time the exact-arithmetic
 certification layer (``repro.milp.certify``): the same repair with
-``certify=True`` vs ``certify=False`` on today's defaults, summarised
-as ``certify_overhead_geomean`` per backend.  That ratio is gated by
+``certify=True`` vs ``certify=False``, summarised as
+``certify_overhead_geomean`` per backend.  That ratio is gated by
 ``check_bench_regression.py`` against the committed baseline -- a
 fresh overhead more than 10% above it fails, catching a certification
 layer that has started taxing the hot path.
 
 Results land in ``BENCH_milp.json`` at the repository root
--- machine-readable, one entry per scenario with nodes / pivots /
-wall-clock -- so the trajectory is diffable from this PR onward.
+-- machine-readable, one entry per scenario -- so the trajectory is
+diffable.
 
 Run directly (CI does)::
 
     PYTHONPATH=src python benchmarks/bench_milp.py
 
-Exits non-zero if any objective diverges between modes.  The wall-clock
-numbers are whatever the host gives us; the node/pivot counts are
-deterministic and the real regression signal.
+Exits non-zero if certify-on and certify-off disagree on any
+objective.
 """
 
 from __future__ import annotations
@@ -51,75 +38,26 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.acquisition.ocr import inject_value_errors
 from repro.datasets import generate_cash_budget, generate_catalog
 from repro.repair.engine import RepairEngine
-from repro.repair.heuristic import greedy_repair
-from repro.repair.translation import translate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_milp.json"
 
-#: Per-mode solver options.  "legacy" reproduces the pre-overhaul
-#: search exactly; "current" is the PR 2 default (dense arrays);
-#: "sparse" is what a caller gets by default today.
-MODES = {
-    "legacy": dict(
-        presolve=False,
-        warm_start=False,
-        branching="most-fractional",
-        pricing="bland",
-        seed_incumbent=False,
-        sparse=False,
-        cuts=False,
-    ),
-    "current": dict(
-        presolve=True,
-        warm_start=True,
-        branching="pseudocost",
-        pricing="dantzig",
-        seed_incumbent=True,
-        sparse=False,
-        cuts=False,
-    ),
-    "sparse": dict(
-        presolve=True,
-        warm_start=True,
-        branching="pseudocost",
-        pricing="dantzig",
-        seed_incumbent=True,
-        sparse=True,
-        cuts=True,
-    ),
-}
-
 BACKENDS = ["bnb", "bnb-simplex"]
 
-#: How many timed repetitions per (scenario, backend, mode); the
+#: How many timed repetitions per (scenario, backend, certify); the
 #: minimum wall time is recorded (robust to scheduler noise).
 REPEATS = 3
-
-#: The e4/e5 scaling scenarios: the perf gate tracks the sparse-core
-#: geomean on exactly this subset.
-SCALING_SCENARIOS = frozenset(
-    {
-        "cash_budget_y3_e4",
-        "cash_budget_y3_e5",
-        "catalog_c8_e4",
-        "catalog_c12_e5",
-    }
-)
-
-#: Scenarios too large for the legacy mode (minutes per solve).
-SKIP_LEGACY = frozenset({"cash_budget_y3_e5", "catalog_c12_e5"})
 
 #: Scenarios excluded from the certify-overhead measurement.  The e5
 #: scenarios dominate bench wall-clock and certification cost scales
 #: with the same model size as the solve itself, so the small/medium
 #: subset pins the overhead ratio at a fraction of the bench budget.
-SKIP_CERTIFY = SKIP_LEGACY
+SKIP_CERTIFY = frozenset({"cash_budget_y3_e5", "catalog_c12_e5"})
 
 
 def scenarios():
@@ -144,93 +82,38 @@ def scenarios():
     return cases
 
 
-def run_one(
-    database, constraints, backend: str, mode: Dict, repeats: int = REPEATS
-) -> Dict[str, float]:
-    solver_options = {
-        "presolve": mode["presolve"],
-        "warm_start": mode["warm_start"],
-        "branching": mode["branching"],
-        "pricing": mode["pricing"],
-        "sparse": mode["sparse"],
-        "cuts": mode["cuts"],
-    }
-    best: Optional[Dict[str, float]] = None
-    for _ in range(repeats):
-        # certify=False: the mode timings track the *solver* trajectory
-        # and must stay comparable with baselines recorded before the
-        # certification layer existed.  Certification's own cost is
-        # measured separately by :func:`run_certify_overhead`.
-        engine = RepairEngine(
-            database,
-            constraints,
-            backend=backend,
-            presolve=mode["presolve"],
-            seed_incumbent=mode["seed_incumbent"],
-            certify=False,
-        )
-        started = time.perf_counter()
-        outcome = engine.find_card_minimal_repair(**solver_options)
-        elapsed = time.perf_counter() - started
-        record = {
-            "wall_time": elapsed,
-            "nodes": sum(s.nodes for s in engine.solve_stats),
-            "pivots": sum(s.simplex_pivots for s in engine.solve_stats),
-            "objective": outcome.objective,
-            "cardinality": outcome.cardinality,
-        }
-        if best is None or record["wall_time"] < best["wall_time"]:
-            best = record
-    assert best is not None
-    return best
-
-
-def run_certify_overhead(
-    database, constraints, backend: str, repeats: int = REPEATS
-) -> Dict[str, float]:
-    """Wall-clock cost of exact certification on today's default path.
-
-    Times the same repair twice on the sparse (default) mode -- once
-    with the rational re-verification layer on (the default) and once
-    with ``certify=False`` -- and reports the on/off ratio.  Min-of-N
-    on each side before taking the ratio, the same scheduler-noise
-    guard as the mode timings.  Both sides must agree on the objective:
-    certification is verification-only and never changes the answer on
-    a clean instance.
-    """
-    mode = MODES["sparse"]
-    solver_options = {
-        "presolve": mode["presolve"],
-        "warm_start": mode["warm_start"],
-        "branching": mode["branching"],
-        "pricing": mode["pricing"],
-        "sparse": mode["sparse"],
-        "cuts": mode["cuts"],
-    }
-    timings: Dict[bool, float] = {}
-    objectives: Dict[bool, float] = {}
-    for certify in (True, False):
-        best = math.inf
-        for _ in range(repeats):
-            engine = RepairEngine(
-                database,
-                constraints,
-                backend=backend,
-                presolve=mode["presolve"],
-                seed_incumbent=mode["seed_incumbent"],
-                certify=certify,
-            )
-            started = time.perf_counter()
-            outcome = engine.find_card_minimal_repair(**solver_options)
-            elapsed = time.perf_counter() - started
-            best = min(best, elapsed)
-            objectives[certify] = outcome.objective
-        timings[certify] = best
+def time_repair(database, constraints, backend: str, certify: bool) -> Dict:
+    """One timed default repair."""
+    engine = RepairEngine(database, constraints, backend=backend, certify=certify)
+    started = time.perf_counter()
+    outcome = engine.find_card_minimal_repair()
+    elapsed = time.perf_counter() - started
     return {
-        "certified_wall_time": timings[True],
-        "uncertified_wall_time": timings[False],
-        "certify_overhead": timings[True] / max(timings[False], 1e-9),
-        "objectives_match": abs(objectives[True] - objectives[False]) <= 1e-9,
+        "wall_time": elapsed,
+        "nodes": sum(s.nodes for s in engine.solve_stats),
+        "pivots": sum(s.simplex_pivots for s in engine.solve_stats),
+        "objective": outcome.objective,
+        "cardinality": outcome.cardinality,
+    }
+
+
+def best_records(
+    database, constraints, backend: str, certify_modes, repeats: int = REPEATS
+) -> Dict[bool, Dict]:
+    """Best-of-*repeats* record per certify mode.
+
+    The modes alternate within each repeat, so both sides of the
+    certify on/off ratio see the same host state.
+    """
+    runs: Dict[bool, List[Dict]] = {certify: [] for certify in certify_modes}
+    for _ in range(repeats):
+        for certify in certify_modes:
+            runs[certify].append(
+                time_repair(database, constraints, backend, certify)
+            )
+    return {
+        certify: min(records, key=lambda record: record["wall_time"])
+        for certify, records in runs.items()
     }
 
 
@@ -243,107 +126,58 @@ def main() -> int:
     diverged = False
     for name, database, constraints in scenarios():
         entry: Dict = {"scenario": name, "backends": {}}
-        # The e5 scenarios take 10+ seconds per dense run; one repeat
-        # is enough there (min-of-N is a small-scenario noise guard).
-        repeats = 1 if name in SKIP_LEGACY else REPEATS
         for backend in BACKENDS:
-            modes: Dict[str, Dict[str, float]] = {}
-            for mode_name, mode in MODES.items():
-                if mode_name == "legacy" and name in SKIP_LEGACY:
-                    continue
-                modes[mode_name] = run_one(
-                    database, constraints, backend, mode, repeats=repeats
-                )
-            objectives = [m["objective"] for m in modes.values()]
-            same = max(objectives) - min(objectives) <= 1e-9
-            if not same:
-                diverged = True
-                detail = " ".join(
-                    f"{mode_name}={record['objective']}"
-                    for mode_name, record in modes.items()
-                )
-                print(
-                    f"OBJECTIVE DIVERGENCE: {name}/{backend}: {detail}",
-                    file=sys.stderr,
-                )
-            record: Dict = dict(modes)
-            if "legacy" in modes:
-                record["speedup"] = modes["legacy"]["wall_time"] / max(
-                    modes["current"]["wall_time"], 1e-9
-                )
-            record["sparse_speedup"] = modes["current"]["wall_time"] / max(
-                modes["sparse"]["wall_time"], 1e-9
-            )
-            record["objectives_match"] = same
-            if name not in SKIP_CERTIFY:
-                certify = run_certify_overhead(
-                    database, constraints, backend, repeats=repeats
-                )
-                if not certify["objectives_match"]:
+            # certify=False: the record tracks the *solver* trajectory;
+            # certification's own cost is the on/off ratio below.
+            modes = (False,) if name in SKIP_CERTIFY else (False, True)
+            best = best_records(database, constraints, backend, modes)
+            record: Dict = best[False]
+            overhead = ""
+            if True in best:
+                certified = best[True]
+                # Certification is verification-only and never changes
+                # the answer on a clean instance.
+                match = abs(certified["objective"] - record["objective"]) <= 1e-9
+                if not match:
                     diverged = True
                     print(
                         f"OBJECTIVE DIVERGENCE: {name}/{backend}: "
                         "certify-on vs certify-off",
                         file=sys.stderr,
                     )
-                record["certify"] = certify
+                record["certify"] = {
+                    "certified_wall_time": certified["wall_time"],
+                    "certify_overhead": certified["wall_time"]
+                    / max(record["wall_time"], 1e-9),
+                    "objectives_match": match,
+                }
+                overhead = f"  certify {record['certify']['certify_overhead']:5.2f}x"
             entry["backends"][backend] = record
-            overhead = (
-                f"  certify {record['certify']['certify_overhead']:5.2f}x"
-                if "certify" in record
-                else ""
-            )
             print(
                 f"{name:28s} {backend:12s} "
-                f"current {modes['current']['wall_time'] * 1000:9.2f} ms "
-                f"({modes['current']['nodes']:4d} nodes)  "
-                f"sparse {modes['sparse']['wall_time'] * 1000:8.2f} ms "
-                f"({modes['sparse']['nodes']:4d} nodes)  "
-                f"{record['sparse_speedup']:5.2f}x{overhead}"
+                f"{record['wall_time'] * 1000:9.2f} ms "
+                f"({record['nodes']:5d} nodes, {record['pivots']:6d} pivots)"
+                f"{overhead}"
             )
         results.append(entry)
 
     summary = {}
     for backend in BACKENDS:
-        legacy_ratios = [
-            entry["backends"][backend]["speedup"]
-            for entry in results
-            if "speedup" in entry["backends"][backend]
-        ]
-        sparse_ratios = [
-            entry["backends"][backend]["sparse_speedup"] for entry in results
-        ]
-        scaling_ratios = [
-            entry["backends"][backend]["sparse_speedup"]
-            for entry in results
-            if entry["scenario"] in SCALING_SCENARIOS
-        ]
         certify_ratios = [
             entry["backends"][backend]["certify"]["certify_overhead"]
             for entry in results
             if "certify" in entry["backends"][backend]
         ]
         summary[backend] = {
-            "geomean_speedup": _geomean(legacy_ratios),
-            "min_speedup": min(legacy_ratios),
-            "max_speedup": max(legacy_ratios),
-            "sparse_geomean_speedup": _geomean(sparse_ratios),
-            "sparse_scaling_geomean": _geomean(scaling_ratios),
             "certify_overhead_geomean": _geomean(certify_ratios),
         }
         print(
-            f"{backend}: sparse geomean "
-            f"{summary[backend]['sparse_geomean_speedup']:.2f}x over current "
-            f"(scaling subset {summary[backend]['sparse_scaling_geomean']:.2f}x); "
-            f"legacy->current geomean "
-            f"{summary[backend]['geomean_speedup']:.2f}x; "
-            f"certify overhead geomean "
+            f"{backend}: certify overhead geomean "
             f"{summary[backend]['certify_overhead_geomean']:.2f}x"
         )
 
     payload = {
         "benchmark": "milp_hot_path",
-        "modes": {name: dict(mode) for name, mode in MODES.items()},
         "repeats": REPEATS,
         "scenarios": results,
         "summary": summary,

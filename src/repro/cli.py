@@ -497,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(STRATEGIES),
         default="exact",
         help="repair strategy: 'exact' always solves the MILP; 'cascade' "
-             "tries confusion-matrix inversion, equality back-solving and "
-             "a certified greedy tier first, invoking the MILP only on "
+             "tries confusion-matrix inversion and a certified greedy "
+             "tier first, invoking the MILP only on "
              "the residue (same card-minimality guarantee) "
              "(default: %(default)s)",
     )

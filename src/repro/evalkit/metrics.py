@@ -18,7 +18,7 @@ These are made precise here:
   involved in a violated ground constraint -- the pre-repair state of
   the art the introduction describes);
 - **mis-repair rate** -- of the repair cascade's *closed-form* fixes
-  (tiers T1/T2, which claim to reconstruct the source value of a
+  (tier T1, which claims to reconstruct the source value of a
   specific cell), how many silently diverged from the OCR channel's
   injected ground truth.  T3/T4 fixes are excluded by design: they
   promise card-minimality, not source fidelity, and a card-minimal
@@ -154,9 +154,9 @@ def intervention_cost(
 class MisrepairReport:
     """Closed-form cascade fixes audited against injected ground truth.
 
-    A closed-form fix (tier T1 confusion inversion or T2 back-solve)
-    claims to have reconstructed *the source value* of one specific
-    cell.  That claim is falsifiable when the corruption was injected:
+    A closed-form fix (tier T1 confusion inversion) claims to have
+    reconstructed *the source value* of one specific cell.  That claim
+    is falsifiable when the corruption was injected:
     the fix is a **mis-repair** when it touched a cell that was never
     corrupted, or wrote a value different from the cell's source value.
 
@@ -165,7 +165,7 @@ class MisrepairReport:
     the source there is not a lie (see :data:`misrepair_rate`).
     """
 
-    #: closed-form (T1/T2) fixes the cascade emitted
+    #: closed-form (T1) fixes the cascade emitted
     n_closed_form: int
     #: of those, fixes contradicting the injected ground truth
     n_misrepairs: int

@@ -6,16 +6,22 @@ provides the solver substrate from scratch:
 
 - :mod:`repro.milp.model` -- variables (real / integer / binary),
   linear expressions, constraints, and the model object;
-- :mod:`repro.milp.simplex` -- a dense primal (and dual) simplex with
-  Dantzig pricing and Bland anti-cycling, written against numpy only;
-- :mod:`repro.milp.lowering` -- the shared dense-array form every
-  solver-side pass consumes;
+- :mod:`repro.milp.sparse` / :mod:`repro.milp.lowering` -- the CSR
+  form every solver-side pass consumes;
+- :mod:`repro.milp.revised` -- the sparse bounded-variable revised
+  simplex (LU + eta file), the LP core of the ``bnb-simplex`` backend;
 - :mod:`repro.milp.presolve` -- bound propagation, forced fixings and
   big-M coefficient tightening ahead of the search;
+- :mod:`repro.milp.cuts` -- Gomory and cover cutting planes;
 - :mod:`repro.milp.warmstart` -- parent-basis warm starts for the node
   LPs of the simplex-backed search;
+- :mod:`repro.milp.node_lp` -- one persistent HiGHS instance per tree
+  for the node LPs of the ``bnb`` backend;
 - :mod:`repro.milp.branch_and_bound` -- best-first branch-and-bound
   with pseudo-cost branching and a pluggable LP-relaxation backend;
+- :mod:`repro.milp.simplex` -- a dense two-phase simplex and
+  :func:`~repro.milp.lowering.lower_model`, kept as reference
+  implementations the tests compare the sparse core against;
 - :mod:`repro.milp.scipy_backend` -- a thin adapter over
   ``scipy.optimize.milp`` (HiGHS);
 - :mod:`repro.milp.solver` -- the ``solve()`` facade selecting a
@@ -48,8 +54,7 @@ from repro.milp.fingerprint import canonical_fingerprint
 from repro.milp.iis import IISError, IISMember, IISResult, extract_iis
 from repro.milp.lowering import DenseArrays, lower_model
 from repro.milp.mps import MpsError, read_mps, write_mps
-from repro.milp.presolve import PresolveResult, PresolveStats, presolve_arrays
-from repro.milp.warmstart import WarmStartTree, WarmStartUnavailable
+from repro.milp.presolve import PresolveResult, PresolveStats
 from repro.milp.solver import (
     FALLBACK_BACKEND,
     SolveStats,
@@ -83,11 +88,8 @@ __all__ = [
     "lower_model",
     "PresolveResult",
     "PresolveStats",
-    "presolve_arrays",
     "IISError",
     "IISMember",
     "IISResult",
     "extract_iis",
-    "WarmStartTree",
-    "WarmStartUnavailable",
 ]

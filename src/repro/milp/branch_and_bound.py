@@ -15,9 +15,9 @@ overhaul:
    at node 1, and when the objective is provably integral the node
    bound is rounded up before comparing;
 4. if the relaxation is integral, it becomes the new incumbent;
-5. otherwise branch -- **pseudo-cost** scoring by default (estimated
-   objective degradation per unit of fraction, learned from observed
-   child bounds), ``"most-fractional"`` available for comparison.
+5. otherwise branch on the variable with the best **pseudo-cost**
+   score (estimated objective degradation per unit of fraction,
+   learned from observed child bounds).
 
 Nodes are explored best-first (lowest relaxation bound first), which
 makes the incumbent's optimality certificate immediate when the node
@@ -26,20 +26,14 @@ bounds are *not* stored as full arrays: each node keeps a delta chain
 (one ``(index, side, value)`` entry per ancestor) against the shared
 root arrays and materialises bounds only when a cold LP needs them.
 
-The LP relaxation backend is pluggable: ``"simplex"`` uses the
-from-scratch solver, ``"scipy"`` uses HiGHS.  Both see exactly the
-same arrays.
-
-The **sparse core** (default, ``sparse=True``) runs the whole search
-on CSR blocks (:mod:`repro.milp.sparse`): the ``simplex`` backend
-becomes the revised simplex (:mod:`repro.milp.revised`) with
-factorized-basis warm starts, and the ``scipy`` backend keeps one
-persistent HiGHS instance per tree (:mod:`repro.milp.node_lp`)
-instead of rebuilding ``linprog`` inputs at every node.  ``cuts=True``
-additionally tightens the root with Gomory + cover rounds and pools
-node-scoped cover cuts keyed by each node's fixed-variable set
-(:mod:`repro.milp.cuts`).  ``sparse=False`` preserves the pre-overhaul
-dense path bit-for-bit.
+The whole search runs on CSR blocks (:mod:`repro.milp.sparse`).  The
+LP relaxation backend is pluggable: ``"simplex"`` is the revised
+simplex (:mod:`repro.milp.revised`) with factorized-basis warm starts,
+``"scipy"`` keeps one persistent HiGHS instance per tree
+(:mod:`repro.milp.node_lp`) instead of rebuilding ``linprog`` inputs at
+every node.  ``cuts=True`` additionally tightens the root with Gomory +
+cover rounds and pools node-scoped cover cuts keyed by each node's
+fixed-variable set (:mod:`repro.milp.cuts`).
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,23 +55,18 @@ from repro.milp.cuts import (
     root_cut_loop,
 )
 from repro.milp.deadline import Deadline
-from repro.milp.lowering import DenseArrays, lower_model, lower_model_sparse
+from repro.milp.lowering import lower_model_sparse
 from repro.milp.model import MILPModel, Solution, SolveStatus
 from repro.milp.node_lp import (
     PersistentNodeLP,
     persistent_available,
     solve_lp_linprog,
 )
-from repro.milp.presolve import PresolveResult, presolve_arrays, presolve_sparse
+from repro.milp.presolve import PresolveResult, presolve as run_presolve
 from repro.milp.revised import solve_lp_sparse
-from repro.milp.simplex import LPResult, PRICING_DANTZIG, solve_lp
+from repro.milp.simplex import LPResult, PRICING_DANTZIG
 from repro.milp.sparse import SparseArrays
-from repro.milp.warmstart import (
-    SparseWarmStartTree,
-    TreeNodeState,
-    WarmStartTree,
-    WarmStartUnavailable,
-)
+from repro.milp.warmstart import SparseNodeState, SparseWarmStartTree
 
 INF = math.inf
 
@@ -92,13 +81,8 @@ NODE_CUTS_PER_NODE = 4
 #: counts as integral.
 INT_TOL = 1e-6
 
-#: Branching rules accepted by :func:`solve_branch_and_bound`.
-BRANCHING_RULES = ("pseudocost", "most-fractional")
-
-# Backwards-compatible aliases: the lowered-array types moved to
-# :mod:`repro.milp.lowering` so presolve can share them.
-_Arrays = DenseArrays
-_lower_model = lower_model
+#: LP relaxation backends accepted by :func:`solve_branch_and_bound`.
+LP_BACKENDS = ("scipy", "simplex")
 
 
 @dataclass
@@ -118,7 +102,7 @@ class _BoundDelta:
 
 
 def _materialise_bounds(
-    arrays: DenseArrays, delta: Optional[_BoundDelta]
+    arrays: SparseArrays, delta: Optional[_BoundDelta]
 ) -> Tuple[np.ndarray, np.ndarray]:
     lower = arrays.lower.copy()
     upper = arrays.upper.copy()
@@ -145,7 +129,7 @@ def _fixed_set(delta: Optional[_BoundDelta]) -> FixedSet:
 
 
 def _bounds_of_variable(
-    arrays: DenseArrays, delta: Optional[_BoundDelta], index: int
+    arrays: SparseArrays, delta: Optional[_BoundDelta], index: int
 ) -> Tuple[float, float]:
     low = float(arrays.lower[index])
     high = float(arrays.upper[index])
@@ -205,7 +189,6 @@ class _PseudoCosts:
 def _select_branch_variable(
     x: np.ndarray,
     integral: Sequence[int],
-    branching: str,
     pseudo: _PseudoCosts,
 ) -> Tuple[int, float]:
     """Pick the branching variable; returns ``(index, fraction)``.
@@ -222,11 +205,8 @@ def _select_branch_variable(
         if distance <= INT_TOL:
             continue
         fraction = value - math.floor(value)
-        if branching == "most-fractional":
-            key = (distance,)
-        else:
-            product, known = pseudo.score(index, fraction)
-            key = (product, known, distance)
+        product, known = pseudo.score(index, fraction)
+        key = (product, known, distance)
         if best_key is None or key > best_key:
             best_key = key
             best_index = index
@@ -238,56 +218,8 @@ def _select_branch_variable(
 class _Node:
     delta: Optional[_BoundDelta]
     lp: LPResult
-    #: Warm-start state: :class:`TreeNodeState` (dense tree) or
-    #: :class:`~repro.milp.warmstart.SparseNodeState` (sparse tree).
-    state: Optional[object]
-
-
-LPSolver = Callable[[DenseArrays, np.ndarray, np.ndarray], LPResult]
-
-
-def _lp_simplex(arrays: DenseArrays, lower: np.ndarray, upper: np.ndarray) -> LPResult:
-    return solve_lp(
-        arrays.costs,
-        a_ub=arrays.a_ub,
-        b_ub=arrays.b_ub,
-        a_eq=arrays.a_eq,
-        b_eq=arrays.b_eq,
-        lower=lower,
-        upper=upper,
-    )
-
-
-def _lp_scipy(arrays: DenseArrays, lower: np.ndarray, upper: np.ndarray) -> LPResult:
-    from scipy.optimize import linprog
-
-    result = linprog(
-        arrays.costs,
-        A_ub=arrays.a_ub if arrays.a_ub.size else None,
-        b_ub=arrays.b_ub if arrays.b_ub.size else None,
-        A_eq=arrays.a_eq if arrays.a_eq.size else None,
-        b_eq=arrays.b_eq if arrays.b_eq.size else None,
-        bounds=list(zip(lower, upper)),
-        method="highs",
-    )
-    if result.status == 0:
-        return LPResult(
-            status="optimal",
-            x=np.asarray(result.x),
-            objective=float(result.fun),
-            iterations=int(result.nit or 0),
-        )
-    if result.status == 2:
-        return LPResult(status="infeasible")
-    if result.status == 3:
-        return LPResult(status="unbounded")
-    return LPResult(status="iteration_limit")
-
-
-_LP_BACKENDS: Dict[str, LPSolver] = {
-    "simplex": _lp_simplex,
-    "scipy": _lp_scipy,
-}
+    #: Warm-start state (``simplex`` backend with ``warm_start`` only).
+    state: Optional[SparseNodeState]
 
 
 def solve_branch_and_bound(
@@ -298,11 +230,9 @@ def solve_branch_and_bound(
     gap_tolerance: float = 1e-9,
     presolve: bool = True,
     warm_start: bool = True,
-    branching: str = "pseudocost",
     pricing: str = PRICING_DANTZIG,
     incumbent: Optional[Sequence[float]] = None,
     time_limit: Optional[float] = None,
-    sparse: bool = True,
     cuts: bool = True,
 ) -> Solution:
     """Solve *model* to optimality by branch-and-bound.
@@ -322,62 +252,40 @@ def solve_branch_and_bound(
 
     Performance options (none of them changes the optimal objective):
 
-    - ``presolve`` -- run :func:`repro.milp.presolve.presolve_arrays`
-      first and search the reduced problem;
+    - ``presolve`` -- run :func:`repro.milp.presolve.presolve` first
+      and search the reduced problem;
     - ``warm_start`` -- with ``lp_backend="simplex"``, re-solve child
       nodes from the parent basis by dual simplex instead of cold
-      two-phase solves;
-    - ``branching`` -- ``"pseudocost"`` (default) or
-      ``"most-fractional"`` (the pre-overhaul rule);
-    - ``pricing`` -- entering-column rule for cold simplex solves
-      (``"dantzig"`` default, ``"bland"`` for the pre-overhaul rule);
+      solves;
+    - ``pricing`` -- entering-column rule of the revised simplex
+      (``"dantzig"`` default, ``"steepest"`` or ``"bland"``);
     - ``incumbent`` -- a full-space feasible point (e.g. from the
       repair heuristic) used as the initial upper bound so pruning
       starts at node 1.  Infeasible seeds are silently ignored;
-    - ``sparse`` -- run the search on CSR blocks with the revised
-      simplex / persistent-HiGHS node solvers (default); ``False``
-      selects the pre-overhaul dense path;
-    - ``cuts`` -- (sparse path only) Gomory + cover rounds at the root
-      and a node-scoped cover-cut pool keyed by fixed-variable sets.
+    - ``cuts`` -- Gomory + cover rounds at the root and a node-scoped
+      cover-cut pool keyed by fixed-variable sets.
 
     Per-phase wall-clock seconds are reported in ``stats`` as
     ``phase_lower`` / ``phase_presolve`` / ``phase_root_lp`` /
     ``phase_cuts`` / ``phase_bnb``.
     """
-    if lp_backend not in _LP_BACKENDS:
+    if lp_backend not in LP_BACKENDS:
         raise ValueError(
             f"unknown LP backend {lp_backend!r}; choose from "
-            f"{sorted(_LP_BACKENDS)}"
-        )
-    if branching not in BRANCHING_RULES:
-        raise ValueError(
-            f"unknown branching rule {branching!r}; choose from "
-            f"{list(BRANCHING_RULES)}"
+            f"{list(LP_BACKENDS)}"
         )
     deadline = Deadline(time_limit)
     stats: Dict[str, float] = {}
 
     mark = time.perf_counter()
-    sparse_root: Optional[SparseArrays] = None
-    if sparse:
-        sparse_root = lower_model_sparse(model)
-        arrays = sparse_root.to_dense_arrays()
-    else:
-        arrays = lower_model(model)
+    root_arrays = lower_model_sparse(model)
     stats["phase_lower"] = time.perf_counter() - mark
 
     reduction: Optional[PresolveResult] = None
-    work = arrays
-    sparse_work: Optional[SparseArrays] = sparse_root
+    work = root_arrays
     if presolve:
         mark = time.perf_counter()
-        if sparse:
-            assert sparse_root is not None
-            reduction, sparse_reduced = presolve_sparse(sparse_root)
-            if sparse_reduced is not None:
-                sparse_work = sparse_reduced
-        else:
-            reduction = presolve_arrays(arrays)
+        reduction = run_presolve(root_arrays)
         stats["phase_presolve"] = time.perf_counter() - mark
         stats.update(reduction.stats.as_solution_stats())
         if reduction.status == "infeasible":
@@ -391,7 +299,8 @@ def solve_branch_and_bound(
                 )
                 return Solution(
                     SolveStatus.OPTIMAL,
-                    objective=float(arrays.costs @ x_full) + arrays.objective_constant,
+                    objective=float(root_arrays.costs @ x_full)
+                    + root_arrays.objective_constant,
                     values=model.solution_values(x_full),
                     stats=stats,
                 )
@@ -404,20 +313,13 @@ def solve_branch_and_bound(
                 gap_tolerance=gap_tolerance,
                 presolve=False,
                 warm_start=warm_start,
-                branching=branching,
                 pricing=pricing,
                 incumbent=incumbent,
                 time_limit=deadline.remaining(),
-                sparse=sparse,
                 cuts=cuts,
             )
+        assert reduction.arrays is not None
         work = reduction.arrays
-    if sparse:
-        assert sparse_work is not None
-        # Every consumer below (bounds, costs, integral set) works on
-        # the same attributes either way; in sparse mode the shared
-        # node arrays are the CSR blocks.
-        work = sparse_work
 
     # Seed the incumbent from a caller-supplied feasible point.
     incumbent_x: Optional[np.ndarray] = None
@@ -449,15 +351,15 @@ def solve_branch_and_bound(
         return bound
 
     # ------------------------------------------------------------------
-    # Root cutting planes (sparse path): tighten the shared arrays with
-    # globally valid Gomory + cover rounds before any node is created,
-    # and open a pool for node-scoped cuts found during the search.
+    # Root cutting planes: tighten the shared arrays with globally valid
+    # Gomory + cover rounds before any node is created, and open a pool
+    # for node-scoped cuts found during the search.
     # ------------------------------------------------------------------
     pool: Optional[CutPool] = None
     lp_iterations = 0
     cuts_rejected = 0
     numeric_drift = 0.0
-    if sparse and cuts:
+    if cuts:
         mark = time.perf_counter()
         # The seeded incumbent doubles as the exact-arithmetic witness
         # for cut admission: any separated cut that would exclude a
@@ -479,107 +381,36 @@ def solve_branch_and_bound(
     # branching decisions so pooled subtree cuts can be applied.
     # ------------------------------------------------------------------
     node_lp: Optional[PersistentNodeLP] = None
-    if sparse:
+    if lp_backend == "scipy" and persistent_available():
+        node_lp = PersistentNodeLP(work)
+
+    def relax(
+        lower: np.ndarray, upper: np.ndarray, fixed: FixedSet = frozenset()
+    ) -> LPResult:
+        extra = pool.cuts_for(fixed) if (pool is not None and fixed) else []
+        rows = [cut.as_row_dict() for cut in extra]
+        rhs = [cut.rhs for cut in extra]
+        if node_lp is not None:
+            return node_lp.solve(lower, upper, extra_rows=rows, extra_rhs=rhs)
+        target = work.with_extra_ub_rows(rows, rhs) if extra else work
         if lp_backend == "simplex":
-            def relax(
-                arrays: SparseArrays,
-                lower: np.ndarray,
-                upper: np.ndarray,
-                fixed: FixedSet = frozenset(),
-            ) -> LPResult:
-                target = arrays
-                if pool is not None and fixed:
-                    extra = pool.cuts_for(fixed)
-                    if extra:
-                        target = arrays.with_extra_ub_rows(
-                            [cut.as_row_dict() for cut in extra],
-                            [cut.rhs for cut in extra],
-                        )
-                return solve_lp_sparse(target, lower, upper, pricing=pricing)
-        elif persistent_available():
-            node_lp = PersistentNodeLP(work)
+            return solve_lp_sparse(target, lower, upper, pricing=pricing)
+        return solve_lp_linprog(target, lower, upper)
 
-            def relax(
-                arrays: SparseArrays,
-                lower: np.ndarray,
-                upper: np.ndarray,
-                fixed: FixedSet = frozenset(),
-            ) -> LPResult:
-                assert node_lp is not None
-                extra = pool.cuts_for(fixed) if (pool is not None and fixed) else []
-                if extra:
-                    return node_lp.solve(
-                        lower,
-                        upper,
-                        extra_rows=[cut.as_row_dict() for cut in extra],
-                        extra_rhs=[cut.rhs for cut in extra],
-                    )
-                return node_lp.solve(lower, upper)
-        else:
-            def relax(
-                arrays: SparseArrays,
-                lower: np.ndarray,
-                upper: np.ndarray,
-                fixed: FixedSet = frozenset(),
-            ) -> LPResult:
-                target = arrays
-                if pool is not None and fixed:
-                    extra = pool.cuts_for(fixed)
-                    if extra:
-                        target = arrays.with_extra_ub_rows(
-                            [cut.as_row_dict() for cut in extra],
-                            [cut.rhs for cut in extra],
-                        )
-                return solve_lp_linprog(target, lower, upper)
-    else:
-        if lp_backend == "simplex":
-            def relax(
-                arrays: DenseArrays,
-                lower: np.ndarray,
-                upper: np.ndarray,
-                fixed: FixedSet = frozenset(),
-            ) -> LPResult:
-                return solve_lp(
-                    arrays.costs,
-                    a_ub=arrays.a_ub,
-                    b_ub=arrays.b_ub,
-                    a_eq=arrays.a_eq,
-                    b_eq=arrays.b_eq,
-                    lower=lower,
-                    upper=upper,
-                    pricing=pricing,
-                )
-        else:
-            _base_relax = _LP_BACKENDS[lp_backend]
-
-            def relax(
-                arrays: DenseArrays,
-                lower: np.ndarray,
-                upper: np.ndarray,
-                fixed: FixedSet = frozenset(),
-            ) -> LPResult:
-                return _base_relax(arrays, lower, upper)
-
-    tree: Optional[object] = None
+    tree: Optional[SparseWarmStartTree] = None
     if warm_start and lp_backend == "simplex":
-        if sparse:
-            tree = SparseWarmStartTree(work, pricing=pricing)
-        else:
-            try:
-                tree = WarmStartTree(work)
-            except WarmStartUnavailable:
-                tree = None
+        tree = SparseWarmStartTree(work, pricing=pricing)
 
     counter = itertools.count()
     mark = time.perf_counter()
-    root_state: Optional[object] = None
+    root_state: Optional[SparseNodeState] = None
     if tree is not None:
         root, root_state = tree.solve_root()
         if root.status == "iteration_limit" and root_state is None:
             tree = None
-            root = relax(work, work.lower, work.upper)
+            root = relax(work.lower, work.upper)
     else:
-        root = relax(work, work.lower, work.upper)
+        root = relax(work.lower, work.upper)
     stats["phase_root_lp"] = time.perf_counter() - mark
     nodes_explored = 1
     lp_iterations += root.iterations
@@ -609,7 +440,7 @@ def solve_branch_and_bound(
             stats["cuts_rejected"] = float(cuts_rejected)
         if node_lp is not None:
             stats["node_lp_solves"] = float(node_lp.solves)
-        if sparse and isinstance(tree, SparseWarmStartTree):
+        if tree is not None:
             stats["refactorizations"] = float(tree.engine.refactorizations)
             stats["bland_fallbacks"] = float(tree.engine.bland_fallbacks)
         if deadline.expired:
@@ -667,7 +498,7 @@ def solve_branch_and_bound(
         lp = node.lp
         assert lp.x is not None
         branch_index, branch_fraction = _select_branch_variable(
-            lp.x, work.integral, branching, pseudo
+            lp.x, work.integral, pseudo
         )
         if branch_index < 0:
             # Integral: candidate incumbent (round away LP noise).
@@ -729,7 +560,7 @@ def solve_branch_and_bound(
             child_fixed: FixedSet = frozenset()
             if pool is not None:
                 child_fixed = node_fixed | {(branch_index, side, branch_bound)}
-            child_state: Optional[object] = None
+            child_state: Optional[SparseNodeState] = None
             if tree is not None and node.state is not None:
                 child, child_state = tree.solve_child(
                     node.state, branch_index, side, branch_bound
@@ -739,12 +570,12 @@ def solve_branch_and_bound(
                     warm_fallbacks += 1
                     lp_iterations += child.iterations
                     child_lower, child_upper = _materialise_bounds(work, child_delta)
-                    child = relax(work, child_lower, child_upper, child_fixed)
+                    child = relax(child_lower, child_upper, child_fixed)
                 else:
                     warm_hits += 1
             else:
                 child_lower, child_upper = _materialise_bounds(work, child_delta)
-                child = relax(work, child_lower, child_upper, child_fixed)
+                child = relax(child_lower, child_upper, child_fixed)
             nodes_explored += 1
             lp_iterations += child.iterations
             numeric_drift = max(numeric_drift, child.rhs_violation)

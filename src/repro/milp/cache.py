@@ -17,7 +17,7 @@ object without copying.
 
 Certification hygiene: because :data:`PERFORMANCE_OPTIONS` are excluded
 from keys, a solve that the numerics governor re-ran down its
-degradation ladder (pricing/cuts/sparse disabled) would land on the
+degradation ladder (pricing/cuts disabled) would land on the
 *pristine* fingerprint.  ``solve_with_stats(certify=True)`` therefore
 only ever stores results from the first, as-requested ladder rung, and
 re-certifies every hit on read — an uncertified or ladder-degraded
@@ -61,8 +61,8 @@ DEFAULT_CACHE_SIZE = 256
 CacheKey = Tuple[str, str, str]
 
 #: Backend options that tune *how* the search runs but cannot change
-#: the optimal solution (incumbent seeds, presolve/warm-start toggles,
-#: branching and pricing rules).  Excluded from cache keys so a seeded
+#: the optimal solution (incumbent seeds, presolve/warm-start/cut
+#: toggles, pricing rules).  Excluded from cache keys so a seeded
 #: solve and a plain solve of the same model share one entry.
 #: ``time_limit`` joins them because only wall-clock-independent
 #: verdicts (optimal / infeasible / unbounded) are ever stored -- see
@@ -73,10 +73,8 @@ PERFORMANCE_OPTIONS = frozenset(
         "incumbent",
         "presolve",
         "warm_start",
-        "branching",
         "pricing",
         "time_limit",
-        "sparse",
         "cuts",
     }
 )

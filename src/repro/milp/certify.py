@@ -26,8 +26,8 @@ Two layers of defence:
 
 When certification fails, :class:`NumericsGovernor` steps down a
 declared degradation ladder — fancy pricing → Dantzig → Bland,
-cuts on → cuts off, sparse core → dense tableau, and finally the
-independent scipy/HiGHS backend — re-solving with the suspect
+cuts on → cuts off, and finally the independent scipy/HiGHS
+backend — re-solving with the suspect
 artifact disabled instead of raising.  Only a fully exhausted ladder
 raises (:class:`repro.diagnostics.NumericInstabilityError`).
 
@@ -73,10 +73,8 @@ _BNB_ONLY_OPTIONS = frozenset(
         "gap_tolerance",
         "presolve",
         "warm_start",
-        "branching",
         "pricing",
         "incumbent",
-        "sparse",
         "cuts",
     }
 )
@@ -426,13 +424,11 @@ class NumericsGovernor:
     ``pricing:dantzig``       steepest-edge pricing (textbook Dantzig)
     ``pricing:bland``         Dantzig pricing (Bland's anti-cycling rule)
     ``cuts:off``              GMI/cover cutting planes
-    ``sparse:off``            the sparse revised simplex / eta files
-                              (dense tableau, full refactorizations)
     ``backend:scipy``         our solver entirely (independent HiGHS)
     ========================  ================================================
 
     Steps that do not apply to the requested backend are skipped: the
-    pricing/cut/sparse rungs only exist for the branch-and-bound
+    pricing/cut rungs only exist for the branch-and-bound
     backends, and a solve already running on ``scipy`` has an empty
     ladder (it *is* the last resort).  The governor is consumed by
     :func:`repro.milp.solver.solve_with_stats` under ``certify=True``,
@@ -457,9 +453,6 @@ class NumericsGovernor:
             if current.get("cuts", True):
                 current = {**current, "cuts": False}
                 yield "cuts:off", self.backend, dict(current)
-            if current.get("sparse", True):
-                current = {**current, "sparse": False}
-                yield "sparse:off", self.backend, dict(current)
         if self.backend != "scipy":
             scipy_options = {
                 key: value

@@ -17,7 +17,7 @@ Two accelerations keep the probe count far below ``n_rows``:
   structural ``y``/link/abs rows of a repair translation) that can be
   probed -- and usually discarded -- in one shot;
 - **presolve short-circuit**: each probe first runs
-  :func:`~repro.milp.presolve.presolve_arrays`; its ``"infeasible"``
+  :func:`~repro.milp.presolve.presolve`; its ``"infeasible"``
   proof (sound by construction) answers the probe without building an
   LP, and its implicated row is used to order the deletion filter so
   likely members are tested last (members are kept, so testing
@@ -49,7 +49,7 @@ from repro.milp.model import (
     Sense,
     SolveStatus,
 )
-from repro.milp.presolve import presolve_sparse
+from repro.milp.presolve import presolve
 from repro.milp.solver import DEFAULT_BACKEND, solve
 
 
@@ -172,7 +172,7 @@ def _probe(
     # Probes run off the sparse lowering: deletion filtering re-lowers
     # the subsystem once per probe, and the CSR path skips the (m, n)
     # zero-fill that dominated small-probe lowering time.
-    reduction, _ = presolve_sparse(lower_model_sparse(sub))
+    reduction = presolve(lower_model_sparse(sub))
     if reduction.status == "infeasible":
         result.presolve_short_circuits += 1
         implicated = None

@@ -1,7 +1,7 @@
-"""Lowering a :class:`~repro.milp.model.MILPModel` to dense arrays.
+"""Lowering a :class:`~repro.milp.model.MILPModel` to arrays.
 
-Both the branch-and-bound search and the presolve pass work on the
-same dense representation::
+Every solver pass (presolve, cuts, the branch-and-bound search, the
+node LPs) works on the CSR form built by :func:`lower_model_sparse`::
 
     min  costs . x  (+ objective_constant)
     s.t. a_ub x <= b_ub
@@ -14,6 +14,11 @@ only ever see the two row families above.  The arrays are lowered
 *once* per solve and shared by every node of the search tree; nodes
 describe themselves as bound deltas against these shared arrays (see
 :mod:`repro.milp.branch_and_bound`).
+
+:func:`lower_model` and :class:`DenseArrays` are the dense reference
+implementation of the same contract.  No module under ``src/repro``
+calls them; the tests keep them as an independent lowering to compare
+the CSR path and the revised simplex against.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.milp.sparse import CSRMatrix, SparseArrays
 
 @dataclass
 class DenseArrays:
-    """The model lowered to dense arrays, shared by all nodes."""
+    """The model lowered to dense arrays (test oracle, see module doc)."""
 
     costs: np.ndarray
     a_ub: np.ndarray
@@ -47,7 +52,11 @@ class DenseArrays:
 
 
 def lower_model(model: MILPModel) -> DenseArrays:
-    """Densify *model* into a :class:`DenseArrays` instance."""
+    """Densify *model* into a :class:`DenseArrays` instance.
+
+    The reference lowering the tests compare :func:`lower_model_sparse`
+    against; no module under ``src/repro`` calls it.
+    """
     n = model.n_variables
     costs = np.zeros(n)
     for index, coefficient in model.objective.coefficients.items():

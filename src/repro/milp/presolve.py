@@ -27,6 +27,10 @@ Everything here is sound for the *mixed-integer* problem: continuous
 relaxation points may be cut (that is the point -- tighter LP bounds),
 integer-feasible points never are.
 
+:func:`presolve` takes and returns CSR blocks
+(:class:`~repro.milp.sparse.SparseArrays`).  The fixpoint loop itself
+works on a private dense copy of the two constraint blocks: presolve is
+a one-shot pass whose cost is dwarfed by the search.
 :class:`PresolveResult` carries the reduced arrays plus the postsolve
 map (kept columns + fixed values) to translate solutions back, and
 :meth:`PresolveResult.reduce_point` projects a full-space point (e.g.
@@ -41,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.milp.lowering import DenseArrays
+from repro.milp.sparse import CSRMatrix, SparseArrays
 
 INF = math.inf
 
@@ -75,7 +79,7 @@ class PresolveStats:
 
 @dataclass
 class PresolveResult:
-    """Outcome of :func:`presolve_arrays` plus the postsolve map.
+    """Outcome of :func:`presolve` plus the postsolve map.
 
     ``status`` is one of:
 
@@ -96,7 +100,7 @@ class PresolveResult:
     kept: List[int] = field(default_factory=list)
     fixed: Dict[int, float] = field(default_factory=dict)
     stats: PresolveStats = field(default_factory=PresolveStats)
-    arrays: Optional[DenseArrays] = None
+    arrays: Optional[SparseArrays] = None
     infeasible_row: Optional[Tuple[str, int]] = None
 
     def restore(self, x_reduced: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -135,13 +139,13 @@ class _Infeasible(Exception):
         self.row = row
 
 
-def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
+def presolve(arrays: SparseArrays) -> PresolveResult:
     """Run the presolve fixpoint on *arrays* (which is left untouched)."""
     n = arrays.n
     costs = arrays.costs.astype(float).copy()
-    a_ub = arrays.a_ub.astype(float).copy()
+    a_ub = arrays.a_ub.to_dense()
     b_ub = arrays.b_ub.astype(float).copy()
-    a_eq = arrays.a_eq.astype(float).copy()
+    a_eq = arrays.a_eq.to_dense()
     b_eq = arrays.b_eq.astype(float).copy()
     lower = arrays.lower.astype(float).copy()
     upper = arrays.upper.astype(float).copy()
@@ -470,15 +474,19 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
     kept = [int(j) for j in np.flatnonzero(col_alive)]
     position_of = {j: position for position, j in enumerate(kept)}
     kept_array = np.array(kept, dtype=int)
-    reduced = DenseArrays(
+    reduced = SparseArrays(
         costs=costs[kept_array],
-        a_ub=a_ub[np.flatnonzero(ub_alive)][:, kept_array]
-        if ub_alive.any()
-        else np.zeros((0, len(kept))),
+        a_ub=CSRMatrix.from_dense(
+            a_ub[np.flatnonzero(ub_alive)][:, kept_array]
+            if ub_alive.any()
+            else np.zeros((0, len(kept)))
+        ),
         b_ub=b_ub[np.flatnonzero(ub_alive)] if ub_alive.any() else np.zeros(0),
-        a_eq=a_eq[np.flatnonzero(eq_alive)][:, kept_array]
-        if eq_alive.any()
-        else np.zeros((0, len(kept))),
+        a_eq=CSRMatrix.from_dense(
+            a_eq[np.flatnonzero(eq_alive)][:, kept_array]
+            if eq_alive.any()
+            else np.zeros((0, len(kept)))
+        ),
         b_eq=b_eq[np.flatnonzero(eq_alive)] if eq_alive.any() else np.zeros(0),
         lower=lower[kept_array],
         upper=upper[kept_array],
@@ -493,24 +501,3 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
         stats=stats,
         arrays=reduced,
     )
-
-
-def presolve_sparse(arrays) -> Tuple[PresolveResult, Optional[object]]:
-    """Presolve a sparse-lowered problem (:class:`SparseArrays`).
-
-    The fixpoint loop itself runs on the dense view -- presolve is a
-    one-shot pass whose cost is dwarfed by the search, and the dense
-    reductions are battle-tested -- but both endpoints stay sparse:
-    the caller hands in CSR blocks and, when the problem survives with
-    status ``"reduced"``, gets the reduced problem back as
-    :class:`SparseArrays` (second element; ``None`` otherwise).  The
-    :class:`PresolveResult` keeps its usual dense ``arrays`` field so
-    ``restore``/``reduce_point`` behave identically.
-    """
-    from repro.milp.sparse import SparseArrays
-
-    result = presolve_arrays(arrays.to_dense_arrays())
-    reduced: Optional[SparseArrays] = None
-    if result.status == "reduced" and result.arrays is not None:
-        reduced = SparseArrays.from_dense_arrays(result.arrays)
-    return result, reduced

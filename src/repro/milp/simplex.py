@@ -1,13 +1,15 @@
-"""A dense two-phase primal simplex solver.
+"""A dense two-phase primal simplex: the reference LP solver.
 
-This is the LP core under the "bnb" MILP backend.  It is written
-against numpy only and trades speed for transparency: a full tableau,
-two phases (artificial variables first, real objective second), and
-Dantzig pricing with a Bland's-rule fallback that engages when a long
-degenerate pivot run suggests cycling.  Problem sizes produced by the
-DART translation are modest (one row per ground constraint, a handful
-of variables per row), so a dense tableau is entirely adequate; the
-scipy/HiGHS backend exists for larger sweeps and for cross-checking.
+No module under ``src/repro`` calls :func:`solve_lp`.  The search runs
+on the sparse revised simplex of :mod:`repro.milp.revised`; this solver
+is kept as the independent oracle the tests compare it against.  It is
+written against numpy only and trades speed for transparency: a full
+tableau, two phases (artificial variables first, real objective
+second), and Dantzig pricing with a Bland's-rule fallback that engages
+when a long degenerate pivot run suggests cycling.
+
+:class:`LPResult` and the tolerance and pricing constants defined here
+are shared by the whole LP layer.
 
 The entry point :func:`solve_lp` accepts the problem in the general
 bounded form::
@@ -83,7 +85,7 @@ class _Tableau:
         self.iterations = 0
         self.rhs_violation = 0.0
 
-    def pivot(self, row: int, column: int, clamp: bool = True) -> None:
+    def pivot(self, row: int, column: int) -> None:
         pivot_value = self.matrix[row, column]
         self.matrix[row] /= pivot_value
         self.rhs[row] /= pivot_value
@@ -93,16 +95,15 @@ class _Tableau:
         if mask.any():
             self.matrix[mask] -= np.outer(column_values[mask], self.matrix[row])
             self.rhs[mask] -= column_values[mask] * self.rhs[row]
-        if clamp:
-            # Clamp only noise-sized negatives; a larger negative RHS is
-            # genuine infeasibility drift and must stay visible (it is
-            # surfaced through LPResult.rhs_violation).
-            noise = (self.rhs < 0.0) & (self.rhs > -FEAS_TOL)
-            if noise.any():
-                self.rhs[noise] = 0.0
-            worst = float(self.rhs.min()) if self.rhs.size else 0.0
-            if worst < -FEAS_TOL:
-                self.rhs_violation = max(self.rhs_violation, -worst)
+        # Clamp only noise-sized negatives; a larger negative RHS is
+        # genuine infeasibility drift and must stay visible (it is
+        # surfaced through LPResult.rhs_violation).
+        noise = (self.rhs < 0.0) & (self.rhs > -FEAS_TOL)
+        if noise.any():
+            self.rhs[noise] = 0.0
+        worst = float(self.rhs.min()) if self.rhs.size else 0.0
+        if worst < -FEAS_TOL:
+            self.rhs_violation = max(self.rhs_violation, -worst)
         self.basis[row] = column
         self.iterations += 1
 
@@ -158,41 +159,6 @@ def _run_simplex(
                     use_bland = True  # probable cycling: go anti-cycling
             else:
                 degenerate_run = 0
-    return "iteration_limit"
-
-
-def _run_dual_simplex(
-    tableau: _Tableau,
-    costs: np.ndarray,
-    allowed: np.ndarray,
-    max_iterations: int,
-) -> str:
-    """Dual simplex: restore primal feasibility from a dual-feasible basis.
-
-    Precondition: the reduced costs of *allowed* columns are (near)
-    nonnegative -- e.g. the tableau is a previously optimal basis whose
-    RHS was perturbed by a bound change.  Used by the warm-start path in
-    :mod:`repro.milp.warmstart`.  Pivots never clamp the RHS: negative
-    entries are exactly the infeasibilities being repaired.
-    """
-    n = tableau.matrix.shape[1]
-    while tableau.iterations < max_iterations:
-        leaving_row = int(np.argmin(tableau.rhs))
-        if tableau.rhs[leaving_row] >= -FEAS_TOL:
-            return "optimal"
-        row = tableau.matrix[leaving_row]
-        candidates = np.flatnonzero(allowed & (row < -PIVOT_TOL))
-        if candidates.size == 0:
-            # The row reads  (nonnegative terms) = negative  -- primal
-            # infeasible for every completion.
-            return "infeasible"
-        basis_costs = costs[tableau.basis]
-        reduced = costs - basis_costs @ tableau.matrix
-        ratios = np.maximum(reduced[candidates], 0.0) / -row[candidates]
-        best = float(ratios.min())
-        tied = candidates[ratios <= best + PIVOT_TOL]
-        entering = int(tied.min())  # Bland-style tie-break
-        tableau.pivot(leaving_row, entering, clamp=False)
     return "iteration_limit"
 
 

@@ -5,8 +5,8 @@ Backends:
 - ``"scipy"`` (default) -- ``scipy.optimize.milp`` / HiGHS;
 - ``"bnb"`` -- the from-scratch branch-and-bound with scipy's LP
   relaxation (fast relaxations, our search);
-- ``"bnb-simplex"`` -- branch-and-bound over the from-scratch dense
-  simplex: every line of the solve path is in this repository.
+- ``"bnb-simplex"`` -- branch-and-bound over the from-scratch sparse
+  revised simplex: every line of the solve path is in this repository.
 
 All backends receive the same :class:`~repro.milp.model.MILPModel` and
 return the same :class:`~repro.milp.model.Solution` shape, so they are
@@ -120,7 +120,7 @@ class SolveStats:
     #: (lowering / presolve / root LP / root cuts / tree search); empty
     #: for backends that do not report phases (plain ``scipy``).
     phase_times: Dict[str, float] = field(default_factory=dict)
-    #: Cutting-plane accounting (sparse branch-and-bound only): applied
+    #: Cutting-plane accounting (branch-and-bound only): applied
     #: root cuts by family plus node-scoped pooled cuts.
     cuts_gomory: int = 0
     cuts_cover: int = 0

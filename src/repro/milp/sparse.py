@@ -4,9 +4,9 @@ The grounded repair instances ``S*(AC)`` are naturally sparse: each
 ground row touches a handful of cells (a steadiness row mentions two
 periods, a Big-M link row one measure and one touch indicator), so the
 constraint matrices run at 1-3% density even on small documents and
-get *sparser* as instances grow.  The dense ``(m, n)`` arrays of
-:mod:`repro.milp.lowering` were adequate for the paper-sized examples
-but waste memory and per-pivot work quadratically at the e4/e5 scale.
+get *sparser* as instances grow.  Dense ``(m, n)`` arrays are
+adequate for the paper-sized examples but waste memory and per-pivot
+work quadratically at the e4/e5 scale.
 
 This module is the shared sparse substrate:
 
@@ -16,8 +16,7 @@ This module is the shared sparse substrate:
 - :class:`CSCView` -- the column-major companion built once per matrix
   for pricing loops that walk columns (revised simplex, cut
   separation);
-- :class:`SparseArrays` -- the sparse twin of
-  :class:`~repro.milp.lowering.DenseArrays`, shared by presolve, the
+- :class:`SparseArrays` -- the lowered model, shared by presolve, the
   revised simplex, the warm-start tree, the cutting-plane layer and
   the persistent HiGHS node LP.
 
@@ -264,11 +263,10 @@ class CSCView:
 
 @dataclass
 class SparseArrays:
-    """The model lowered to CSR blocks, shared by all sparse passes.
+    """The model lowered to CSR blocks, shared by every solver pass.
 
-    The same contract as :class:`~repro.milp.lowering.DenseArrays`
-    (``>=`` rows already negated into ``<=`` rows), with the two
-    constraint blocks stored as :class:`CSRMatrix`.
+    ``>=`` rows are already negated into ``<=`` rows, and the two
+    constraint blocks are stored as :class:`CSRMatrix`.
     """
 
     costs: np.ndarray
@@ -292,36 +290,6 @@ class SparseArrays:
     @property
     def m_eq(self) -> int:
         return self.a_eq.shape[0]
-
-    def to_dense_arrays(self):
-        """Densify into the legacy :class:`DenseArrays` shape."""
-        from repro.milp.lowering import DenseArrays
-
-        return DenseArrays(
-            costs=self.costs.copy(),
-            a_ub=self.a_ub.to_dense(),
-            b_ub=self.b_ub.copy(),
-            a_eq=self.a_eq.to_dense(),
-            b_eq=self.b_eq.copy(),
-            lower=self.lower.copy(),
-            upper=self.upper.copy(),
-            integral=list(self.integral),
-            objective_constant=self.objective_constant,
-        )
-
-    @classmethod
-    def from_dense_arrays(cls, arrays) -> "SparseArrays":
-        return cls(
-            costs=np.asarray(arrays.costs, dtype=float),
-            a_ub=CSRMatrix.from_dense(arrays.a_ub),
-            b_ub=np.asarray(arrays.b_ub, dtype=float),
-            a_eq=CSRMatrix.from_dense(arrays.a_eq),
-            b_eq=np.asarray(arrays.b_eq, dtype=float),
-            lower=np.asarray(arrays.lower, dtype=float),
-            upper=np.asarray(arrays.upper, dtype=float),
-            integral=list(arrays.integral),
-            objective_constant=float(arrays.objective_constant),
-        )
 
     def with_extra_ub_rows(
         self, rows: Sequence[Dict[int, float]], rhs: Sequence[float]

@@ -1,305 +1,36 @@
 """Warm-started node LPs for the branch-and-bound tree.
 
-The pre-overhaul search called :func:`repro.milp.simplex.solve_lp`
-cold at every node: re-standardise the variables, rebuild the tableau,
-run phase 1 from scratch.  But between a parent node and its child
-exactly one bound changes -- everything else (costs, rows, the rest of
-the bound box) is identical, so the parent's optimal basis is one RHS
-perturbation away from the child's.
+A cold LP solve at every node would rebuild the basis from scratch.
+But between a parent node and its child exactly one bound changes --
+everything else (costs, rows, the rest of the bound box) is identical,
+so the parent's optimal basis is one bound perturbation away from the
+child's.  That basis stays *dual* feasible after the change (costs are
+untouched), so the child is re-solved by a few **dual simplex** pivots.
 
-:class:`WarmStartTree` exploits that.  It builds **one** fixed-structure
-tableau per tree:
-
-- variables are shifted by the *root* lower bounds (``x = l0 + x'``),
-  so every standardised variable is ``>= 0`` and the structure never
-  changes as node bounds move;
-- every variable contributes an explicit upper-bound row
-  ``x' <= u - l0`` and every integral variable a lower-branch row
-  ``-x' <= -(l - l0)`` (slack 0 at the root), so a node's bound change
-  is purely an RHS change on one of these rows;
-- the identity column of each bound row (its slack) gives
-  ``B^-1 e_row`` for free in the current tableau, so the child's RHS is
-  ``parent_rhs + delta * T[:, slack(row)]`` -- no refactorisation;
-- the parent's optimal basis stays *dual* feasible after an RHS change
-  (costs are untouched), so the child is re-solved by **dual simplex**
-  pivots (usually one or two), followed by a primal clean-up pass.
-
-The structure requires every bound to be finite.  DART's grounded
-instances satisfy this after presolve (the ``y = z - v`` rows give the
-difference variables finite implied bounds); models with genuinely free
-variables raise :class:`WarmStartUnavailable` and the caller falls back
-to cold solves.
+:class:`SparseWarmStartTree` exploits that over the revised simplex of
+:mod:`repro.milp.revised`: every node keeps a :class:`SparseNodeState`
+(a basis snapshot plus its bound box), and a child installs its
+parent's snapshot under the tightened box before re-solving.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.milp.lowering import DenseArrays
 from repro.milp.revised import BasisSnapshot, RevisedSimplex
-from repro.milp.simplex import (
-    FEAS_TOL,
-    LPResult,
-    PIVOT_TOL,
-    PRICING_DANTZIG,
-    _run_dual_simplex,
-    _run_simplex,
-    _Tableau,
-)
+from repro.milp.simplex import LPResult, PRICING_DANTZIG
 from repro.milp.sparse import SparseArrays
-
-INF = math.inf
-
-
-class WarmStartUnavailable(RuntimeError):
-    """The model cannot use the fixed-structure warm-start tableau."""
-
-
-@dataclass
-class TreeNodeState:
-    """The solved tableau of one node, reusable by its children."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    basis: List[int]
-    #: Current solver-space RHS of every bound row at this node.
-    bound_rhs: np.ndarray
-
-
-class WarmStartTree:
-    """Shared warm-start structure for one branch-and-bound tree."""
-
-    def __init__(self, arrays: DenseArrays, *, max_iterations: int = 50_000) -> None:
-        if not (
-            np.all(np.isfinite(arrays.lower)) and np.all(np.isfinite(arrays.upper))
-        ):
-            raise WarmStartUnavailable(
-                "warm-started node LPs need finite bounds on every variable"
-            )
-        self.arrays = arrays
-        self.max_iterations = max_iterations
-        n = arrays.n
-        self.l0 = arrays.lower.astype(float).copy()
-
-        # Row layout: [ub rows][eq rows][upper-bound rows][lower-branch rows].
-        m_ub = arrays.a_ub.shape[0]
-        m_eq = arrays.a_eq.shape[0]
-        integral = list(arrays.integral)
-        self._upper_row: Dict[int, int] = {}
-        self._lower_row: Dict[int, int] = {}
-
-        shifted_b_ub = arrays.b_ub - (arrays.a_ub @ self.l0 if m_ub else 0.0)
-        shifted_b_eq = arrays.b_eq - (arrays.a_eq @ self.l0 if m_eq else 0.0)
-
-        structural_rows: List[np.ndarray] = []
-        structural_rhs: List[float] = []
-        for i in range(m_ub):
-            structural_rows.append(arrays.a_ub[i])
-            structural_rhs.append(float(shifted_b_ub[i]))
-        for i in range(m_eq):
-            structural_rows.append(arrays.a_eq[i])
-            structural_rhs.append(float(shifted_b_eq[i]))
-        first_bound_row = m_ub + m_eq
-        for j in range(n):
-            row = np.zeros(n)
-            row[j] = 1.0
-            self._upper_row[j] = len(structural_rows)
-            structural_rows.append(row)
-            structural_rhs.append(float(arrays.upper[j] - self.l0[j]))
-        for j in integral:
-            row = np.zeros(n)
-            row[j] = -1.0
-            self._lower_row[j] = len(structural_rows)
-            structural_rows.append(row)
-            structural_rhs.append(0.0)
-        m = len(structural_rows)
-        self.first_bound_row = first_bound_row
-        self.n_bound_rows = m - first_bound_row
-
-        # Slack for every non-eq row; artificial for eq rows and any row
-        # whose initial RHS is negative (bound rows never are: the root
-        # box is ``0 <= x' <= u - l0``).
-        is_eq = [False] * m_ub + [True] * m_eq + [False] * self.n_bound_rows
-        negate = [
-            (not is_eq[i]) and structural_rhs[i] < 0.0 for i in range(m)
-        ]
-        eq_negate = [is_eq[i] and structural_rhs[i] < 0.0 for i in range(m)]
-        n_slack = sum(1 for i in range(m) if not is_eq[i])
-        artificial_rows = [i for i in range(m) if is_eq[i] or negate[i]]
-        n_total = n + n_slack + len(artificial_rows)
-
-        matrix = np.zeros((m, n_total))
-        rhs = np.zeros(m)
-        basis = [-1] * m
-        unit_column = [-1] * m
-        slack_column = n
-        for i in range(m):
-            row = np.asarray(structural_rows[i], dtype=float)
-            value = structural_rhs[i]
-            sign = -1.0 if (negate[i] or eq_negate[i]) else 1.0
-            matrix[i, :n] = sign * row
-            rhs[i] = sign * value
-            if not is_eq[i]:
-                matrix[i, slack_column] = sign * 1.0 if not negate[i] else -1.0
-                if not negate[i]:
-                    basis[i] = slack_column
-                    unit_column[i] = slack_column
-                slack_column += 1
-        artificial_column = n + n_slack
-        for i in artificial_rows:
-            matrix[i, artificial_column] = 1.0
-            basis[i] = artificial_column
-            unit_column[i] = artificial_column
-            artificial_column += 1
-
-        self._matrix0 = matrix
-        self._rhs0 = rhs
-        self._basis0 = basis
-        self._unit_column = unit_column
-        self._n = n
-        self._n_slack = n_slack
-        self._n_artificial = len(artificial_rows)
-        self._n_total = n_total
-
-        self.phase2_costs = np.zeros(n_total)
-        self.phase2_costs[:n] = arrays.costs
-        self.allowed = np.ones(n_total, dtype=bool)
-        self.allowed[n + n_slack:] = False
-        self._root_bound_rhs = np.array(
-            structural_rhs[first_bound_row:], dtype=float
-        )
-
-    # ------------------------------------------------------------------
-
-    def _extract(self, tableau: _Tableau) -> LPResult:
-        std = np.zeros(self._n_total)
-        for row, column in enumerate(tableau.basis):
-            std[column] = tableau.rhs[row]
-        x = self.l0 + std[: self._n]
-        objective = float(self.arrays.costs @ x)
-        return LPResult(
-            status="optimal",
-            x=x,
-            objective=objective,
-            iterations=tableau.iterations,
-            rhs_violation=tableau.rhs_violation,
-        )
-
-    def solve_root(self) -> Tuple[LPResult, Optional[TreeNodeState]]:
-        """Cold-solve the root relaxation on the fixed structure."""
-        tableau = _Tableau(
-            self._matrix0.copy(), self._rhs0.copy(), list(self._basis0)
-        )
-        if self._n_artificial:
-            phase1_costs = np.zeros(self._n_total)
-            phase1_costs[self._n + self._n_slack:] = 1.0
-            allowed = np.ones(self._n_total, dtype=bool)
-            status = _run_simplex(
-                tableau, phase1_costs, allowed, self.max_iterations
-            )
-            if status == "iteration_limit":
-                return LPResult("iteration_limit", iterations=tableau.iterations), None
-            if float(phase1_costs[tableau.basis] @ tableau.rhs) > FEAS_TOL:
-                return LPResult("infeasible", iterations=tableau.iterations), None
-            for row in range(tableau.matrix.shape[0]):
-                if tableau.basis[row] >= self._n + self._n_slack:
-                    for column in range(self._n + self._n_slack):
-                        if abs(tableau.matrix[row, column]) > PIVOT_TOL:
-                            tableau.pivot(row, column)
-                            break
-        status = _run_simplex(
-            tableau, self.phase2_costs, self.allowed, self.max_iterations
-        )
-        if status != "optimal":
-            return LPResult(status, iterations=tableau.iterations), None
-        result = self._extract(tableau)
-        state = TreeNodeState(
-            matrix=tableau.matrix,
-            rhs=tableau.rhs,
-            basis=tableau.basis,
-            bound_rhs=self._root_bound_rhs.copy(),
-        )
-        return result, state
-
-    def solve_child(
-        self,
-        parent: TreeNodeState,
-        index: int,
-        side: str,
-        value: float,
-        *,
-        iteration_budget: int = 2_000,
-    ) -> Tuple[LPResult, Optional[TreeNodeState]]:
-        """Re-solve with one bound changed against the parent basis.
-
-        ``side`` is ``"upper"`` (``x_index <= value``) or ``"lower"``
-        (``x_index >= value``).  Returns ``(result, state)``; ``state``
-        is ``None`` for infeasible children and for iteration-capped
-        solves (the caller should fall back to a cold solve for the
-        latter -- ``result.status`` distinguishes the two).
-        """
-        if side == "upper":
-            row = self._upper_row[index]
-            new_rhs = value - self.l0[index]
-        else:
-            row = self._lower_row[index]
-            new_rhs = -(value - self.l0[index])
-        position = row - self.first_bound_row
-        delta = new_rhs - parent.bound_rhs[position]
-
-        matrix = parent.matrix.copy()
-        # B^-1 e_row is the current column of the row's original
-        # identity (slack) column: the child RHS needs no refactorise.
-        rhs = parent.rhs + delta * matrix[:, self._unit_column[row]]
-        tableau = _Tableau(matrix, rhs, list(parent.basis))
-
-        budget = tableau.iterations + iteration_budget
-        status = _run_dual_simplex(
-            tableau, self.phase2_costs, self.allowed, budget
-        )
-        if status == "infeasible":
-            return LPResult("infeasible", iterations=tableau.iterations), None
-        if status == "iteration_limit":
-            return LPResult("iteration_limit", iterations=tableau.iterations), None
-        # Dual pivots can leave sub-optimal reduced costs only through
-        # tolerance slop; a primal clean-up pass settles it (usually 0
-        # pivots).
-        status = _run_simplex(
-            tableau,
-            self.phase2_costs,
-            self.allowed,
-            tableau.iterations + iteration_budget,
-        )
-        if status != "optimal":
-            return LPResult(status, iterations=tableau.iterations), None
-        result = self._extract(tableau)
-        bound_rhs = parent.bound_rhs.copy()
-        bound_rhs[position] = new_rhs
-        state = TreeNodeState(
-            matrix=tableau.matrix,
-            rhs=tableau.rhs,
-            basis=tableau.basis,
-            bound_rhs=bound_rhs,
-        )
-        return result, state
-
-
-# ----------------------------------------------------------------------
-# Sparse warm starts over the revised simplex
-# ----------------------------------------------------------------------
 
 
 @dataclass
 class SparseNodeState:
     """One node's basis snapshot plus its materialised bound box.
 
-    Unlike :class:`TreeNodeState` (which copies the full dense tableau
-    per node), this is a handful of index arrays and a shared basis
-    factorization -- cheap enough to keep for every open node.
+    A handful of index arrays and a shared basis factorization -- cheap
+    enough to keep for every open node.
     """
 
     snapshot: BasisSnapshot
@@ -310,14 +41,12 @@ class SparseNodeState:
 class SparseWarmStartTree:
     """Fixed-structure warm starts backed by :class:`RevisedSimplex`.
 
-    The dense tree encodes bound changes as RHS edits on explicit bound
-    rows, which is why it demands finite bounds everywhere.  The
-    revised simplex handles bounds implicitly (nonbasic-at-bound
-    statuses), so a branching decision is just a new bound box under
-    the parent's basis: :meth:`RevisedSimplex.install` restores the
-    snapshot, one FTRAN recomputes the basic values, and a couple of
-    dual pivots restore feasibility.  Free variables are fine -- no
-    :class:`WarmStartUnavailable` cases.
+    One engine serves the whole tree.  The revised simplex handles
+    bounds implicitly (nonbasic-at-bound statuses), so a branching
+    decision is just a new bound box under the parent's basis:
+    :meth:`RevisedSimplex.install` restores the snapshot, one FTRAN
+    recomputes the basic values, and a couple of dual pivots restore
+    feasibility.  Free variables need no special handling.
     """
 
     def __init__(
@@ -354,10 +83,11 @@ class SparseWarmStartTree:
     ) -> Tuple[LPResult, Optional[SparseNodeState]]:
         """Re-solve with one bound tightened against the parent basis.
 
-        Same contract as :meth:`WarmStartTree.solve_child`: ``state`` is
-        ``None`` for infeasible children and iteration-capped solves
-        (``result.status`` distinguishes the two; the caller cold-solves
-        the latter).
+        ``side`` is ``"upper"`` (``x_index <= value``) or ``"lower"``
+        (``x_index >= value``).  Returns ``(result, state)``; ``state``
+        is ``None`` for infeasible children and for iteration-capped
+        solves (``result.status`` distinguishes the two; the caller
+        cold-solves the latter).
         """
         lower = parent.lower.copy()
         upper = parent.upper.copy()

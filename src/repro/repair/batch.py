@@ -315,7 +315,7 @@ class BatchReport:
     def cascade_tier_hits(self) -> Dict[str, int]:
         """Violated rows resolved per cascade tier, batch-wide.
 
-        Synthetic ``backend="cascade"`` records carry T1-T3 counts;
+        Synthetic ``backend="cascade"`` records carry T1 and T3 counts;
         the T4 entry counts residual rows that reached a real solver
         (records stamped ``tier="t4-exact"``, cache hits included).
         """

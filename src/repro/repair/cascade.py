@@ -14,10 +14,6 @@ of the database:
   candidate only if it clears *every* ground constraint touching that
   cell -- the currently-satisfied ones included, so a fix can never
   push damage into its neighbourhood.
-- **T2 -- aggregate back-solving** (:data:`TIER_BACKSOLVE`): a violated
-  equality row whose cells are all above suspicion except one is a
-  linear equation in a single unknown; solve it in closed form and
-  apply the same all-neighbours acceptance test.
 - **T3 -- certified residue search** (:data:`TIER_GREEDY`): the greedy
   primal heuristic of :mod:`repro.repair.heuristic`, accepted only when
   its cardinality matches the *exact minimum hitting number* of the
@@ -30,15 +26,16 @@ of the database:
   way a T3 hit is *provably* card-minimal: its cardinality equals a
   lower bound that holds for the exact optimum too.
 - **T4 -- exact residue solve** (:data:`TIER_EXACT`): whatever survives
-  T1-T3 goes to the exact MILP.  The residue instance is strictly
+  T1 and T3 goes to the exact MILP.  The residue instance is strictly
   smaller (fewer violated rows), so the expensive tier runs on the
   cheap remainder.  T4 is driven by the engine
   (:meth:`repro.repair.engine.RepairEngine.find_card_minimal_repair`
   with ``strategy="cascade"``); this module reports the residue.
 
-T1 and T2 iterate to a joint fixpoint: repairing one cell can turn a
-multi-unknown row into a single-unknown row, or surface a unique
-clearing pre-image that was masked before.
+T1 iterates to a fixpoint: repairing one cell can surface a unique
+clearing pre-image that was masked before.  The numbering skips T2 on
+purpose: the tier names ``t1``/``t3``/``t4`` are stored in journals and
+benchmark records.
 
 **Mis-repair budget.**  When several distinct candidates clear a
 suspect cell's neighbourhood the channel evidence is ambiguous; picking
@@ -86,17 +83,16 @@ from repro.repair.translation import RepairObjective, translate
 
 #: Tier names, in firing order.
 TIER_INVERSION = "t1-inversion"
-TIER_BACKSOLVE = "t2-backsolve"
 TIER_GREEDY = "t3-greedy"
 TIER_EXACT = "t4-exact"
-TIERS = (TIER_INVERSION, TIER_BACKSOLVE, TIER_GREEDY, TIER_EXACT)
+TIERS = (TIER_INVERSION, TIER_GREEDY, TIER_EXACT)
 
 #: The tiers whose fixes are closed-form reconstructions of individual
 #: cells (and therefore scoreable against injected ground truth by
 #: :func:`repro.evalkit.metrics.misrepair_report`).
-CLOSED_FORM_TIERS = frozenset({TIER_INVERSION, TIER_BACKSOLVE})
+CLOSED_FORM_TIERS = frozenset({TIER_INVERSION})
 
-#: Tolerance for "this back-solved value is an integer".
+#: Tolerance for "this solved value is an integer".
 INTEGRALITY_TOL = 1e-6
 
 
@@ -114,7 +110,8 @@ class ViolationClass(Enum):
 
     #: Some cell of the row has channel pre-images: candidate for T1.
     CONFUSION = "confusion"
-    #: An equality row with exactly one suspect cell: candidate for T2.
+    #: An equality row with exactly one suspect cell; like the
+    #: residue, greedy / exact territory (T3 / T4).
     BACKSOLVABLE = "backsolvable"
     #: Everything else: greedy / exact territory (T3 / T4).
     RESIDUE = "residue"
@@ -189,7 +186,7 @@ class CascadeFix:
     old_value: float
     new_value: float
     #: Channel probability of the inverted corruption (T1 only; 0.0 for
-    #: back-solved or greedy fixes, which carry no channel evidence).
+    #: greedy fixes, which carry no channel evidence).
     probability: float = 0.0
     #: True when this fix spent mis-repair budget (several candidates
     #: cleared the neighbourhood and the highest-probability one won).
@@ -264,7 +261,7 @@ class CascadeReport:
         raise KeyError(name)
 
     def closed_form_fixes(self) -> List[CascadeFix]:
-        """The T1/T2 fixes, i.e. those scoreable for mis-repairs."""
+        """The T1 fixes, i.e. those scoreable for mis-repairs."""
         return [fix for fix in self.fixes if fix.tier in CLOSED_FORM_TIERS]
 
     def as_dict(self) -> Dict[str, object]:
@@ -477,79 +474,6 @@ def _inversion_pass(
         # fixpoint loop re-sweeps anyway.
         return True
     return False
-
-
-def _backsolve_pass(
-    working: Database,
-    grounds: Sequence[GroundConstraint],
-    by_cell: Dict[Cell, List[GroundConstraint]],
-    budget: _Budget,
-    stats: TierStats,
-    fixes: List[CascadeFix],
-) -> bool:
-    """One T2 sweep; True when at least one fix was accepted."""
-    violated, suspects = _suspect_cells(grounds, working)
-    if not violated:
-        return False
-    suspect_set = set(suspects)
-    violated_rows = _violated_rows_by_cell(grounds, working)
-    progressed = False
-    for ground in violated:
-        if ground.holds(working):
-            continue  # cleared earlier in this sweep
-        if ground.relop != Relop.EQ or not ground.coefficients:
-            continue
-        unknowns = [cell for cell in ground.cells() if cell in suspect_set]
-        if len(unknowns) != 1:
-            continue
-        cell = unknowns[0]
-        if not _dominates(cell, violated_rows, grounds):
-            continue
-        coefficient = ground.coefficients[cell]
-        if coefficient == 0.0:
-            continue
-        rest = ground.constant + sum(
-            other_coefficient * float(working.get_value(*other_cell))
-            for other_cell, other_coefficient in ground.coefficients.items()
-            if other_cell != cell
-        )
-        value = (ground.rhs - rest) / coefficient
-        if _is_integer_cell(working, cell):
-            if abs(value - round(value)) > INTEGRALITY_TOL:
-                continue  # no integral solution: leave it to T3/T4
-            value = float(round(value))
-        current = float(working.get_value(*cell))
-        if value == current:
-            continue
-        if not _neighbourhood_clears(working, cell, value, by_cell[cell]):
-            continue
-        # Same corroboration rule as T1: one equality pins the value,
-        # but only a second violated witness row certifies that this
-        # cell -- and not a suspect neighbour it would absorb -- is the
-        # corrupted one.
-        corroborated = len(violated_rows[cell]) >= 2
-        if not corroborated:
-            stats.ambiguous += 1
-            if budget.remaining <= 0:
-                continue
-            budget.take()
-            stats.budget_spent += 1
-        working.set_value(
-            *cell, int(value) if _is_integer_cell(working, cell) else value
-        )
-        fixes.append(
-            CascadeFix(
-                tier=TIER_BACKSOLVE,
-                cell=cell,
-                old_value=current,
-                new_value=value,
-                ambiguous=not corroborated,
-            )
-        )
-        stats.fixes += 1
-        # One fix per sweep (the dominance map is stale after a fix).
-        return True
-    return progressed
 
 
 def repair_lower_bound(
@@ -1030,7 +954,7 @@ def run_cascade(
     grounds: Optional[Sequence[GroundConstraint]] = None,
     misrepair_budget: int = 0,
 ) -> PyTuple[Database, CascadeReport]:
-    """Run tiers T1-T3 over a working copy of *database*.
+    """Run tiers T1 and T3 over a working copy of *database*.
 
     Returns ``(working copy, report)``.  The working copy satisfies
     every ground row the cascade resolved; ``report.n_residual > 0``
@@ -1060,44 +984,30 @@ def run_cascade(
         budget=misrepair_budget, n_violations=len(initial_violated)
     )
     t1 = TierStats(tier=TIER_INVERSION, attempted=len(initial_violated))
-    t2 = TierStats(tier=TIER_BACKSOLVE)
     t3 = TierStats(tier=TIER_GREEDY)
-    report.tiers = [t1, t2, t3]
+    report.tiers = [t1, t3]
     if not initial_violated:
         return working, report
 
-    # T1 <-> T2 joint fixpoint: each accepted fix can unlock the other
-    # tier (a repaired cell turns a two-unknown row into a back-solvable
-    # one, and vice versa).
+    # T1 fixpoint: each accepted fix can unmask another cell's unique
+    # clearing pre-image.
     def open_rows() -> int:
         return sum(1 for g in system if not g.holds(working))
 
     while True:
         before = open_rows()
         started = time.perf_counter()
-        progressed_t1 = _inversion_pass(
+        progressed = _inversion_pass(
             working, system, by_cell, budget, t1, fixes
         )
         t1.wall_time += time.perf_counter() - started
-        after_t1 = open_rows()
-        t1.resolved += before - after_t1
-
-        started = time.perf_counter()
-        progressed_t2 = _backsolve_pass(
-            working, system, by_cell, budget, t2, fixes
-        )
-        t2.wall_time += time.perf_counter() - started
-        after_t2 = open_rows()
-        t2.resolved += after_t1 - after_t2
-
-        if not (progressed_t1 or progressed_t2):
+        t1.resolved += before - open_rows()
+        if not progressed:
             break
 
     # Handed-on accounting: a tier's fallthroughs are the initial rows
-    # it (and its fixpoint partner, upstream of it) did not clear.
+    # it did not clear.
     t1.fallthroughs = report.n_violations - t1.resolved
-    t2.attempted = t1.fallthroughs
-    t2.fallthroughs = t2.attempted - t2.resolved
 
     remaining = open_rows()
     t3.attempted = remaining

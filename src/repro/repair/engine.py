@@ -207,8 +207,8 @@ class RepairEngine:
 
         ``strategy="cascade"`` runs the tiered repair cascade
         (:mod:`repro.repair.cascade`) before the MILP: confusion
-        inversion, aggregate back-solving and the certified residue
-        search clear what they can prove, and only the residue reaches
+        inversion and the certified residue search clear what they
+        can prove, and only the residue reaches
         the exact backend.  ``misrepair_budget`` bounds how many
         ambiguous closed-form guesses the cascade may take (default 0:
         fall through instead of guessing).  The cascade requires the
@@ -474,7 +474,7 @@ class RepairEngine:
     def _solve_cascade(
         self, time_limit: Optional[float], solver_options: Dict
     ) -> RepairOutcome:
-        """Tiers T1-T3 on a working copy, then the exact T4 residue.
+        """Tiers T1 and T3 on a working copy, then the exact T4 residue.
 
         Emits one synthetic :class:`~repro.milp.solver.SolveStats`
         record per cascade tier (``backend="cascade"``,

@@ -26,7 +26,6 @@ from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, Domain, RelationSchema
 from repro.repair.cascade import (
     CLOSED_FORM_TIERS,
-    TIER_BACKSOLVE,
     TIER_EXACT,
     TIER_GREEDY,
     TIER_INVERSION,
@@ -174,20 +173,12 @@ class TestTierAccounting:
             workload.ground_truth, 4, seed=1011
         )
         _, report = run_cascade(corrupted, workload.constraints)
-        t1, t2, t3 = (
-            report.tier(TIER_INVERSION),
-            report.tier(TIER_BACKSOLVE),
-            report.tier(TIER_GREEDY),
-        )
+        t1, t3 = report.tier(TIER_INVERSION), report.tier(TIER_GREEDY)
         assert t1.attempted == report.n_violations
         assert t1.fallthroughs == t1.attempted - t1.resolved
-        assert t2.attempted == t1.fallthroughs
-        assert t3.attempted == t2.fallthroughs
+        assert t3.attempted == t1.fallthroughs
         assert t3.fallthroughs == report.n_residual
-        assert (
-            t1.resolved + t2.resolved + t3.resolved
-            == report.resolved_without_milp
-        )
+        assert t1.resolved + t3.resolved == report.resolved_without_milp
 
     def test_report_round_trips_to_dict(self):
         database, constraints = two_cell_instance()
@@ -195,7 +186,7 @@ class TestTierAccounting:
         payload = report.as_dict()
         assert payload["milp_invoked"] is False
         assert payload["budget_spent"] == 1
-        assert [t["tier"] for t in payload["tiers"]] == list(TIERS[:3])
+        assert [t["tier"] for t in payload["tiers"]] == list(TIERS[:-1])
         assert payload["fixes"][0]["tier"] == TIER_INVERSION
 
 

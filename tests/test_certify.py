@@ -393,7 +393,6 @@ class TestNumericsGovernor:
             "pricing:dantzig",
             "pricing:bland",
             "cuts:off",
-            "sparse:off",
             "backend:scipy",
         ]
 
@@ -402,21 +401,20 @@ class TestNumericsGovernor:
         # would re-run the identical solve; the rung is skipped.
         governor = NumericsGovernor("bnb-simplex", {})
         assert governor.ladder() == [
-            "as-requested", "pricing:bland", "cuts:off", "sparse:off",
-            "backend:scipy",
+            "as-requested", "pricing:bland", "cuts:off", "backend:scipy",
         ]
 
     def test_bnb_ladder_has_no_pricing_rungs(self):
         governor = NumericsGovernor("bnb", {})
         assert governor.ladder() == [
-            "as-requested", "cuts:off", "sparse:off", "backend:scipy",
+            "as-requested", "cuts:off", "backend:scipy",
         ]
 
     def test_scipy_is_its_own_last_resort(self):
         assert NumericsGovernor("scipy", {}).ladder() == ["as-requested"]
 
     def test_already_degraded_options_collapse_rungs(self):
-        governor = NumericsGovernor("bnb", {"cuts": False, "sparse": False})
+        governor = NumericsGovernor("bnb", {"cuts": False})
         assert governor.ladder() == ["as-requested", "backend:scipy"]
 
     def test_scipy_rung_strips_bnb_only_options(self):
@@ -447,9 +445,9 @@ class TestDegradationLadder:
         assert stats.certified is True
         assert stats.degraded is True
         assert stats.ladder_steps == [
-            "as-requested", "cuts:off", "sparse:off", "backend:scipy",
+            "as-requested", "cuts:off", "backend:scipy",
         ]
-        assert stats.certification_failures == 3
+        assert stats.certification_failures == 2
         assert stats.backend == "scipy"
         assert solution.objective == pytest.approx(1.0)
 

@@ -1,8 +1,8 @@
 """Differential testing of the MILP backends.
 
 The repository ships two genuinely independent solve paths: the
-from-scratch branch-and-bound over the from-scratch dense simplex
-(``bnb-simplex`` -- every line in this repo) and ``scipy.optimize``'s
+from-scratch branch-and-bound over the from-scratch sparse revised
+simplex (``bnb-simplex`` -- every line in this repo) and ``scipy.optimize``'s
 HiGHS (``scipy``).  Card-minimality of DART's repairs rests on both
 returning *optimal* objectives, so this suite generates randomized
 grounded MILPs shaped like the repair translation ``S*(AC)`` --

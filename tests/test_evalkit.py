@@ -120,7 +120,7 @@ class TestMisrepairRate:
 
     def test_wrong_value_is_a_misrepair(self):
         cell = ("CashBudget", 0, "Value")
-        report = self.report([self.fix("t2-backsolve", cell, 225.0)])
+        report = self.report([self.fix("t1-inversion", cell, 225.0)])
         audit = misrepair_report(report, [(cell, 220.0, 250.0)])
         assert audit.n_misrepairs == 1
         assert audit.misrepaired_cells == (cell,)

@@ -17,9 +17,9 @@ import pytest
 from repro.acquisition.ocr import inject_value_errors
 from repro.datasets import generate_cash_budget
 from repro.milp.branch_and_bound import solve_branch_and_bound
-from repro.milp.lowering import lower_model
+from repro.milp.lowering import lower_model_sparse
 from repro.milp.model import MILPModel, SolveStatus, VarType
-from repro.milp.presolve import presolve_arrays
+from repro.milp.presolve import presolve
 from repro.repair.engine import RepairEngine
 
 from tests._seeds import derived_seeds, describe_seed
@@ -50,7 +50,7 @@ class TestPresolveTransparency:
     @pytest.mark.parametrize("seed", SEEDS, ids=[f"seed{s}" for s in SEEDS])
     def test_presolve_infeasible_agrees_with_search(self, seed):
         model = random_grounded_milp(seed)
-        reduction = presolve_arrays(lower_model(model))
+        reduction = presolve(lower_model_sparse(model))
         if reduction.status != "infeasible":
             pytest.skip("presolve did not prove infeasibility for this seed")
         plain = solve_branch_and_bound(model, presolve=False)
@@ -62,7 +62,7 @@ class TestPresolveTransparency:
         from scipy.optimize import milp, LinearConstraint, Bounds
 
         model = random_grounded_milp(seed)
-        reduction = presolve_arrays(lower_model(model))
+        reduction = presolve(lower_model_sparse(model))
         if reduction.status == "infeasible":
             return
         if reduction.status == "solved":
@@ -71,13 +71,13 @@ class TestPresolveTransparency:
             return
         arrays = reduction.arrays
         constraints = []
-        if arrays.a_ub.size:
+        if arrays.m_ub:
             constraints.append(
-                LinearConstraint(arrays.a_ub, -np.inf, arrays.b_ub)
+                LinearConstraint(arrays.a_ub.to_dense(), -np.inf, arrays.b_ub)
             )
-        if arrays.a_eq.size:
+        if arrays.m_eq:
             constraints.append(
-                LinearConstraint(arrays.a_eq, arrays.b_eq, arrays.b_eq)
+                LinearConstraint(arrays.a_eq.to_dense(), arrays.b_eq, arrays.b_eq)
             )
         integrality = np.zeros(arrays.n)
         integrality[arrays.integral] = 1
@@ -102,7 +102,7 @@ class TestPresolveTransparency:
         point = np.array(
             [solution.values[v.name] for v in model.variables]
         )
-        reduction = presolve_arrays(lower_model(model))
+        reduction = presolve(lower_model_sparse(model))
         assert reduction.status != "infeasible", describe_seed(seed)
         if reduction.status == "solved":
             return
@@ -119,7 +119,7 @@ class TestPresolveEdgeCases:
         model.add_constraint(x == 4)
         model.add_constraint(y == -1.5)
         model.set_objective(x + 2 * y)
-        reduction = presolve_arrays(lower_model(model))
+        reduction = presolve(lower_model_sparse(model))
         assert reduction.status == "solved"
         lifted = reduction.restore()
         assert model.check_feasible(lifted)
@@ -137,7 +137,7 @@ class TestPresolveEdgeCases:
         model.add_constraint(2 * x >= 1)
         model.add_constraint(2 * x <= 1)
         model.set_objective(x)
-        reduction = presolve_arrays(lower_model(model))
+        reduction = presolve(lower_model_sparse(model))
         assert reduction.status == "infeasible"
 
     def test_contradictory_bounds_detected(self):
@@ -146,7 +146,7 @@ class TestPresolveEdgeCases:
         model.add_constraint(x >= 7)
         model.add_constraint(x <= 3)
         model.set_objective(x)
-        assert presolve_arrays(lower_model(model)).status == "infeasible"
+        assert presolve(lower_model_sparse(model)).status == "infeasible"
 
     def test_stats_surface_in_solution(self):
         model = random_grounded_milp(SEEDS[0])
