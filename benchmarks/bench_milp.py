@@ -3,10 +3,10 @@
 Runs every scenario on both branch-and-bound backends with the solver
 defaults -- presolve, warm starts (simplex backend), pseudo-cost
 branching, Dantzig pricing, heuristic incumbent seeding, the CSR core
-(revised simplex / persistent HiGHS node LPs) and root + node cutting
-planes -- and records objective, nodes, pivots and wall-clock per
-(scenario, backend).  Wall-clock is whatever the host gives us; the
-node/pivot counts are deterministic and the real regression signal.
+(revised simplex / persistent HiGHS node LPs) -- and records
+objective, nodes, pivots and wall-clock per (scenario, backend).
+Wall-clock is whatever the host gives us; the node/pivot counts are
+deterministic and the real regression signal.
 ``check_bench_regression.py`` gates them, and the objectives, against
 the committed baseline.
 

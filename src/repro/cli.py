@@ -239,10 +239,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
             print(f"  {record}")
         certified = sum(1 for s in engine.solve_stats if s.certified is True)
         degraded = sum(1 for s in engine.solve_stats if s.degraded)
-        rejected = sum(s.cuts_rejected for s in engine.solve_stats)
         print(f"  certification: {certified}/{len(engine.solve_stats)} "
-              f"solve(s) certified, {degraded} ladder-degraded, "
-              f"{rejected} cut(s) rejected")
+              f"solve(s) certified, {degraded} ladder-degraded")
     return 0
 
 

@@ -12,7 +12,6 @@ provides the solver substrate from scratch:
   simplex (LU + eta file), the LP core of the ``bnb-simplex`` backend;
 - :mod:`repro.milp.presolve` -- bound propagation, forced fixings and
   big-M coefficient tightening ahead of the search;
-- :mod:`repro.milp.cuts` -- Gomory and cover cutting planes;
 - :mod:`repro.milp.warmstart` -- parent-basis warm starts for the node
   LPs of the simplex-backed search;
 - :mod:`repro.milp.node_lp` -- one persistent HiGHS instance per tree

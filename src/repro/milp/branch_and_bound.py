@@ -31,9 +31,7 @@ LP relaxation backend is pluggable: ``"simplex"`` is the revised
 simplex (:mod:`repro.milp.revised`) with factorized-basis warm starts,
 ``"scipy"`` keeps one persistent HiGHS instance per tree
 (:mod:`repro.milp.node_lp`) instead of rebuilding ``linprog`` inputs at
-every node.  ``cuts=True`` additionally tightens the root with Gomory +
-cover rounds and pools node-scoped cover cuts keyed by each node's
-fixed-variable set (:mod:`repro.milp.cuts`).
+every node.
 """
 
 from __future__ import annotations
@@ -47,13 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.milp.cuts import (
-    CutPool,
-    FixedSet,
-    cover_cuts,
-    cut_rejected_by_witness,
-    root_cut_loop,
-)
 from repro.milp.deadline import Deadline
 from repro.milp.lowering import lower_model_sparse
 from repro.milp.model import MILPModel, Solution, SolveStatus
@@ -69,13 +60,6 @@ from repro.milp.sparse import SparseArrays
 from repro.milp.warmstart import SparseNodeState, SparseWarmStartTree
 
 INF = math.inf
-
-#: Caps on node-level cut separation: stop pooling once this many cuts
-#: are stored / this many nodes have been explored (separation cost
-#: stops paying for itself deep in the tree).
-NODE_CUT_POOL_CAP = 64
-NODE_CUT_NODE_CAP = 500
-NODE_CUTS_PER_NODE = 4
 
 #: Integrality tolerance: a relaxation value within this of an integer
 #: counts as integral.
@@ -116,16 +100,6 @@ def _materialise_bounds(
                 lower[node.index] = node.value
         node = node.parent
     return lower, upper
-
-
-def _fixed_set(delta: Optional[_BoundDelta]) -> FixedSet:
-    """A node's identity for cut scoping: its branching decisions."""
-    decisions = set()
-    node = delta
-    while node is not None:
-        decisions.add((node.index, node.side, node.value))
-        node = node.parent
-    return frozenset(decisions)
 
 
 def _bounds_of_variable(
@@ -233,7 +207,6 @@ def solve_branch_and_bound(
     pricing: str = PRICING_DANTZIG,
     incumbent: Optional[Sequence[float]] = None,
     time_limit: Optional[float] = None,
-    cuts: bool = True,
 ) -> Solution:
     """Solve *model* to optimality by branch-and-bound.
 
@@ -261,13 +234,11 @@ def solve_branch_and_bound(
       (``"dantzig"`` default, ``"steepest"`` or ``"bland"``);
     - ``incumbent`` -- a full-space feasible point (e.g. from the
       repair heuristic) used as the initial upper bound so pruning
-      starts at node 1.  Infeasible seeds are silently ignored;
-    - ``cuts`` -- Gomory + cover rounds at the root and a node-scoped
-      cover-cut pool keyed by fixed-variable sets.
+      starts at node 1.  Infeasible seeds are silently ignored.
 
     Per-phase wall-clock seconds are reported in ``stats`` as
     ``phase_lower`` / ``phase_presolve`` / ``phase_root_lp`` /
-    ``phase_cuts`` / ``phase_bnb``.
+    ``phase_bnb``.
     """
     if lp_backend not in LP_BACKENDS:
         raise ValueError(
@@ -316,7 +287,6 @@ def solve_branch_and_bound(
                 pricing=pricing,
                 incumbent=incumbent,
                 time_limit=deadline.remaining(),
-                cuts=cuts,
             )
         assert reduction.arrays is not None
         work = reduction.arrays
@@ -350,52 +320,16 @@ def solve_branch_and_bound(
             return math.ceil(bound - 1e-6)
         return bound
 
-    # ------------------------------------------------------------------
-    # Root cutting planes: tighten the shared arrays with globally valid
-    # Gomory + cover rounds before any node is created, and open a pool
-    # for node-scoped cuts found during the search.
-    # ------------------------------------------------------------------
-    pool: Optional[CutPool] = None
-    lp_iterations = 0
-    cuts_rejected = 0
-    numeric_drift = 0.0
-    if cuts:
-        mark = time.perf_counter()
-        # The seeded incumbent doubles as the exact-arithmetic witness
-        # for cut admission: any separated cut that would exclude a
-        # known integer-feasible point is provably invalid.
-        witnesses = [incumbent_x] if incumbent_x is not None else None
-        cut_result = root_cut_loop(work, pricing=pricing, witnesses=witnesses)
-        stats["phase_cuts"] = time.perf_counter() - mark
-        stats["cut_rounds"] = float(cut_result.rounds)
-        stats["cuts_gomory"] = float(cut_result.gomory_count)
-        stats["cuts_cover"] = float(cut_result.cover_count)
-        cuts_rejected += cut_result.rejected
-        lp_iterations += cut_result.lp_iterations
-        if cut_result.cuts:
-            work = cut_result.arrays
-        pool = CutPool()
-
-    # ------------------------------------------------------------------
-    # The per-node relaxation solver.  ``fixed`` carries the node's
-    # branching decisions so pooled subtree cuts can be applied.
-    # ------------------------------------------------------------------
     node_lp: Optional[PersistentNodeLP] = None
     if lp_backend == "scipy" and persistent_available():
         node_lp = PersistentNodeLP(work)
 
-    def relax(
-        lower: np.ndarray, upper: np.ndarray, fixed: FixedSet = frozenset()
-    ) -> LPResult:
-        extra = pool.cuts_for(fixed) if (pool is not None and fixed) else []
-        rows = [cut.as_row_dict() for cut in extra]
-        rhs = [cut.rhs for cut in extra]
+    def relax(lower: np.ndarray, upper: np.ndarray) -> LPResult:
         if node_lp is not None:
-            return node_lp.solve(lower, upper, extra_rows=rows, extra_rhs=rhs)
-        target = work.with_extra_ub_rows(rows, rhs) if extra else work
+            return node_lp.solve(lower, upper)
         if lp_backend == "simplex":
-            return solve_lp_sparse(target, lower, upper, pricing=pricing)
-        return solve_lp_linprog(target, lower, upper)
+            return solve_lp_sparse(work, lower, upper, pricing=pricing)
+        return solve_lp_linprog(work, lower, upper)
 
     tree: Optional[SparseWarmStartTree] = None
     if warm_start and lp_backend == "simplex":
@@ -413,8 +347,8 @@ def solve_branch_and_bound(
         root = relax(work.lower, work.upper)
     stats["phase_root_lp"] = time.perf_counter() - mark
     nodes_explored = 1
-    lp_iterations += root.iterations
-    numeric_drift = max(numeric_drift, root.rhs_violation)
+    lp_iterations = root.iterations
+    numeric_drift = root.rhs_violation
     warm_hits = 0
     warm_fallbacks = 0
     pruned_by_incumbent = 0
@@ -435,9 +369,6 @@ def solve_branch_and_bound(
         stats["phase_bnb"] = time.perf_counter() - search_mark
         if numeric_drift > 0.0:
             stats["numeric_drift"] = numeric_drift
-        if pool is not None:
-            stats["node_cuts_pooled"] = float(len(pool))
-            stats["cuts_rejected"] = float(cuts_rejected)
         if node_lp is not None:
             stats["node_lp_solves"] = float(node_lp.solves)
         if tree is not None:
@@ -516,37 +447,6 @@ def solve_branch_and_bound(
         value = lp.x[branch_index]
         node_low, node_high = _bounds_of_variable(work, node.delta, branch_index)
         parent_objective = lp.objective if lp.objective is not None else bound
-        node_fixed: FixedSet = frozenset()
-        if pool is not None:
-            node_fixed = _fixed_set(node.delta)
-            if (
-                node.delta is not None
-                and len(pool) < NODE_CUT_POOL_CAP
-                and nodes_explored <= NODE_CUT_NODE_CAP
-            ):
-                # Separate cover cuts under this node's bound box; they
-                # are valid for (and pooled under) exactly its subtree.
-                sep_lower, sep_upper = _materialise_bounds(work, node.delta)
-                # A node cut only claims validity inside this subtree's
-                # bound box, so the incumbent witness applies exactly
-                # when it lives in that box.
-                node_witnesses = None
-                if incumbent_x is not None and bool(
-                    np.all(incumbent_x >= sep_lower - 1e-9)
-                    and np.all(incumbent_x <= sep_upper + 1e-9)
-                ):
-                    node_witnesses = [incumbent_x]
-                for cut in cover_cuts(
-                    work,
-                    lp.x,
-                    sep_lower,
-                    sep_upper,
-                    max_cuts=NODE_CUTS_PER_NODE,
-                ):
-                    if cut_rejected_by_witness(cut, node_witnesses):
-                        cuts_rejected += 1
-                        continue
-                    pool.add(node_fixed, cut)
         for direction in ("down", "up"):
             if direction == "down":
                 side, branch_bound = "upper", float(math.floor(value))
@@ -557,9 +457,6 @@ def solve_branch_and_bound(
                 if branch_bound > node_high:
                     continue
             child_delta = _BoundDelta(node.delta, branch_index, side, branch_bound)
-            child_fixed: FixedSet = frozenset()
-            if pool is not None:
-                child_fixed = node_fixed | {(branch_index, side, branch_bound)}
             child_state: Optional[SparseNodeState] = None
             if tree is not None and node.state is not None:
                 child, child_state = tree.solve_child(
@@ -570,12 +467,12 @@ def solve_branch_and_bound(
                     warm_fallbacks += 1
                     lp_iterations += child.iterations
                     child_lower, child_upper = _materialise_bounds(work, child_delta)
-                    child = relax(child_lower, child_upper, child_fixed)
+                    child = relax(child_lower, child_upper)
                 else:
                     warm_hits += 1
             else:
                 child_lower, child_upper = _materialise_bounds(work, child_delta)
-                child = relax(child_lower, child_upper, child_fixed)
+                child = relax(child_lower, child_upper)
             nodes_explored += 1
             lp_iterations += child.iterations
             numeric_drift = max(numeric_drift, child.rhs_violation)

@@ -1,16 +1,16 @@
 """Exact-arithmetic certification and the numerics degradation ladder.
 
-The sparse revised simplex, the cut separators, and the warm-started
-node LPs (PR 6) are exactly the machinery where floating-point drift
-can silently produce a *wrong* repair: a GMI cut derived from a noisy
-tableau row can shave off the true optimum, a stale eta-file basis can
-declare an infeasible incumbent feasible.  DART's contract is a
-*card-minimal* repair, and a minimality claim is only worth anything
-if the answer is exact — so every answer re-verifies itself here, in
+The sparse revised simplex, presolve and the warm-started node LPs
+are exactly the machinery where floating-point drift can silently
+produce a *wrong* repair: a stale eta-file basis can declare an
+infeasible incumbent feasible, a tightened big-M coefficient can
+shave off the true optimum.  DART's contract is a *card-minimal*
+repair, and a minimality claim is only worth anything if the answer
+is exact — so every answer re-verifies itself here, in
 :mod:`fractions` rational arithmetic, against the **original** model
-(pre-presolve, pre-cut, pre-warm-start).  A bug anywhere in the
-lowering / presolve / cut / search stack then cannot escape as a
-silently wrong repair: it surfaces as a failed certificate.
+(pre-presolve, pre-warm-start).  A bug anywhere in the lowering /
+presolve / search stack then cannot escape as a silently wrong
+repair: it surfaces as a failed certificate.
 
 Two layers of defence:
 
@@ -25,11 +25,10 @@ Two layers of defence:
   lowering itself is caught here.
 
 When certification fails, :class:`NumericsGovernor` steps down a
-declared degradation ladder — fancy pricing → Dantzig → Bland,
-cuts on → cuts off, and finally the independent scipy/HiGHS
-backend — re-solving with the suspect
-artifact disabled instead of raising.  Only a fully exhausted ladder
-raises (:class:`repro.diagnostics.NumericInstabilityError`).
+declared degradation ladder — fancy pricing → Dantzig → Bland, and
+finally the independent scipy/HiGHS backend — re-solving with the
+suspect artifact disabled instead of raising.  Only a fully exhausted
+ladder raises (:class:`repro.diagnostics.NumericInstabilityError`).
 
 Tolerances are *scale-relative*: a row is accepted when::
 
@@ -57,9 +56,10 @@ CERT_INT_TOL = Fraction(1, 10**6)
 #: The maximum number of failure messages kept on a certificate.
 _MAX_FAILURES = 8
 
-#: Ladder steps in order; each entry is ``(name, option_overrides)``.
-#: Overrides accumulate down the ladder: by the time the cuts are
-#: disabled the pricing has already been pinned to Bland's rule.
+#: Pricing steps in order; each entry is ``(name, pricing_rule)``.
+#: Overrides accumulate down the ladder: by the time the solve falls
+#: back to scipy the pricing has already been pinned to Bland's rule.
+#: A rung is skipped when the pricing already sits at or below it.
 _PRICING_LADDER: Tuple[Tuple[str, str], ...] = (
     ("pricing:dantzig", "dantzig"),
     ("pricing:bland", "bland"),
@@ -75,7 +75,6 @@ _BNB_ONLY_OPTIONS = frozenset(
         "warm_start",
         "pricing",
         "incumbent",
-        "cuts",
     }
 )
 
@@ -151,9 +150,9 @@ def certify_solution(
     """Replay *solution* against the original *model* in rationals.
 
     Verifies, for every variable and every constraint of the model as
-    the caller built it (before presolve, cuts, or any backend saw
-    it): integrality of integer/binary variables (values are snapped
-    to the nearest integer when within ``int_tol``), variable bounds,
+    the caller built it (before presolve or any backend saw it):
+    integrality of integer/binary variables (values are snapped to the
+    nearest integer when within ``int_tol``), variable bounds,
     row feasibility under a scale-relative tolerance, and the reported
     objective value.  Solutions without a usable incumbent
     (INFEASIBLE, UNBOUNDED, budget-expired without an incumbent) have
@@ -376,36 +375,6 @@ def certify_database(
 
 
 # ----------------------------------------------------------------------
-# Cut admission: exact witness replay
-# ----------------------------------------------------------------------
-
-
-def cut_excludes_point(
-    coefficients: Iterable[Tuple[int, float]],
-    rhs: float,
-    point: Sequence[float],
-    *,
-    tol: Fraction = CERT_FEAS_TOL,
-) -> bool:
-    """Exact test: does the ``<=`` cut exclude integer *point*?
-
-    Replayed in rationals so tableau noise in the cut cannot hide a
-    violation.  Used at cut admission: a separated GMI/cover row that
-    excludes a known integer-feasible witness (the incumbent) is
-    provably invalid and must be rejected — cuts may only remove
-    fractional points.
-    """
-    lhs = Fraction(0)
-    scale = Fraction(1) + abs(_frac(rhs))
-    for index, coefficient in coefficients:
-        c = _frac(coefficient)
-        v = _frac(float(point[index]))
-        lhs += c * v
-        scale += abs(c * v)
-    return lhs > _frac(rhs) + tol * scale
-
-
-# ----------------------------------------------------------------------
 # The degradation ladder
 # ----------------------------------------------------------------------
 
@@ -423,13 +392,12 @@ class NumericsGovernor:
     ``as-requested``          nothing — the solve as configured
     ``pricing:dantzig``       steepest-edge pricing (textbook Dantzig)
     ``pricing:bland``         Dantzig pricing (Bland's anti-cycling rule)
-    ``cuts:off``              GMI/cover cutting planes
     ``backend:scipy``         our solver entirely (independent HiGHS)
     ========================  ================================================
 
     Steps that do not apply to the requested backend are skipped: the
-    pricing/cut rungs only exist for the branch-and-bound
-    backends, and a solve already running on ``scipy`` has an empty
+    pricing rungs only exist for ``bnb-simplex``, whose LP core they
+    steer, and a solve already running on ``scipy`` has an empty
     ladder (it *is* the last resort).  The governor is consumed by
     :func:`repro.milp.solver.solve_with_stats` under ``certify=True``,
     which re-solves down the ladder until a rung's answer passes
@@ -444,15 +412,12 @@ class NumericsGovernor:
     def steps(self):
         yield "as-requested", self.backend, dict(self.options)
         current = dict(self.options)
-        if self.backend in ("bnb", "bnb-simplex"):
-            if self.backend == "bnb-simplex":
-                for name, rule in _PRICING_LADDER:
-                    if current.get("pricing", "dantzig") != rule:
-                        current = {**current, "pricing": rule}
-                        yield name, self.backend, dict(current)
-            if current.get("cuts", True):
-                current = {**current, "cuts": False}
-                yield "cuts:off", self.backend, dict(current)
+        if self.backend == "bnb-simplex":
+            rules = [rule for _name, rule in _PRICING_LADDER]
+            for position, (name, rule) in enumerate(_PRICING_LADDER):
+                if current.get("pricing", "dantzig") not in rules[position:]:
+                    current = {**current, "pricing": rule}
+                    yield name, self.backend, dict(current)
         if self.backend != "scipy":
             scipy_options = {
                 key: value

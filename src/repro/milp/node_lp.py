@@ -16,10 +16,7 @@ whole search tree, built directly against scipy's private
 - a node solve is ``changeColsBounds`` + ``run``: HiGHS keeps the
   previous optimal basis, so a one-bound branching change re-solves in
   a handful of dual pivots (measured ~0.02 ms vs ~3 ms through
-  ``linprog``);
-- subtree-scoped cut rows are applied with ``addRows`` before the run
-  and removed with ``deleteRows`` after, leaving the shared base model
-  untouched.
+  ``linprog``).
 
 The private API is version-fragile, so everything is feature-detected:
 when ``_highspy`` internals are missing the backend transparently
@@ -31,7 +28,6 @@ uses.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,16 +130,9 @@ class PersistentNodeLP:
             raise RuntimeError(f"HiGHS rejected the model: {status}")
         self._highs = highs
         self._core = core
-        self._m_base = m
 
-    def solve(
-        self,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        extra_rows: Optional[Sequence[Dict[int, float]]] = None,
-        extra_rhs: Optional[Sequence[float]] = None,
-    ) -> LPResult:
-        """Re-solve under a new bound box (plus optional scoped cut rows).
+    def solve(self, lower: np.ndarray, upper: np.ndarray) -> LPResult:
+        """Re-solve under a new bound box.
 
         The previous basis is retained by HiGHS, so a single-bound
         change from the last solve costs a few dual pivots.
@@ -156,53 +145,24 @@ class PersistentNodeLP:
             np.asarray(lower, dtype=float),
             np.asarray(upper, dtype=float),
         )
-        added = 0
-        if extra_rows:
-            assert extra_rhs is not None and len(extra_rhs) == len(extra_rows)
-            starts: List[int] = []
-            indices: List[int] = []
-            values: List[float] = []
-            for row in extra_rows:
-                starts.append(len(indices))
-                for j, c in sorted(row.items()):
-                    indices.append(int(j))
-                    values.append(float(c))
-            starts.append(len(indices))
-            added = len(extra_rows)
-            highs.addRows(
-                added,
-                np.full(added, -INF),
-                np.asarray(extra_rhs, dtype=float),
-                len(indices),
-                np.asarray(starts[:-1], dtype=np.int32),
-                np.asarray(indices, dtype=np.int32),
-                np.asarray(values, dtype=float),
+        highs.run()
+        self.solves += 1
+        model_status = highs.getModelStatus()
+        if model_status == core.HighsModelStatus.kOptimal:
+            solution = highs.getSolution()
+            info = highs.getInfo()
+            x = np.asarray(solution.col_value, dtype=float)
+            return LPResult(
+                status="optimal",
+                x=x,
+                objective=float(info.objective_function_value),
+                iterations=int(info.simplex_iteration_count),
             )
-        try:
-            highs.run()
-            self.solves += 1
-            model_status = highs.getModelStatus()
-            if model_status == core.HighsModelStatus.kOptimal:
-                solution = highs.getSolution()
-                info = highs.getInfo()
-                x = np.asarray(solution.col_value, dtype=float)
-                return LPResult(
-                    status="optimal",
-                    x=x,
-                    objective=float(info.objective_function_value),
-                    iterations=int(info.simplex_iteration_count),
-                )
-            if model_status == core.HighsModelStatus.kInfeasible:
-                return LPResult(status="infeasible")
-            if model_status in (
-                core.HighsModelStatus.kUnbounded,
-                core.HighsModelStatus.kUnboundedOrInfeasible,
-            ):
-                return LPResult(status="unbounded")
-            return LPResult(status="iteration_limit")
-        finally:
-            if added:
-                rows = np.arange(
-                    self._m_base, self._m_base + added, dtype=np.int32
-                )
-                self._highs.deleteRows(added, rows)
+        if model_status == core.HighsModelStatus.kInfeasible:
+            return LPResult(status="infeasible")
+        if model_status in (
+            core.HighsModelStatus.kUnbounded,
+            core.HighsModelStatus.kUnboundedOrInfeasible,
+        ):
+            return LPResult(status="unbounded")
+        return LPResult(status="iteration_limit")

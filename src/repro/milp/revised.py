@@ -680,20 +680,6 @@ class RevisedSimplex:
             )
         return self._extract(start_iterations)
 
-    # -- introspection for the cutting-plane layer ------------------------
-
-    def tableau_row(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(alpha, rho)`` for basis *row*: ``alpha = e_r^T B^-1 [A|S|R]``.
-
-        The cutting-plane layer reads these to derive Gomory cuts from
-        fractional basic rows; ``rho = B^-T e_r`` is returned too so
-        the caller can aggregate the RHS (``rho . b``).
-        """
-        unit = np.zeros(self.m)
-        unit[row] = 1.0
-        rho = self.factor.solve_transpose(unit)
-        return self._alpha_row(rho), rho
-
 
 def solve_lp_sparse(
     arrays: SparseArrays,

@@ -117,11 +117,11 @@ class SolveStats:
     tier_hits: int = 0
     tier_fallthroughs: int = 0
     #: Per-phase wall-clock seconds from the branch-and-bound backends
-    #: (lowering / presolve / root LP / root cuts / tree search); empty
+    #: (lowering / presolve / root LP / tree search); empty
     #: for backends that do not report phases (plain ``scipy``).
     phase_times: Dict[str, float] = field(default_factory=dict)
-    #: Cutting-plane accounting (branch-and-bound only): applied
-    #: root cuts by family plus node-scoped pooled cuts.
+    #: Cut counters of a removed cutting-plane layer: always 0.  Kept
+    #: because ``perfbench/tracing.py:_solve`` still reads them.
     cuts_gomory: int = 0
     cuts_cover: int = 0
     node_cuts: int = 0
@@ -136,9 +136,6 @@ class SolveStats:
     certified: Optional[bool] = None
     certification: str = ""
     certification_failures: int = 0
-    #: Separated cuts rejected at admission because they excluded an
-    #: integer-feasible witness point (exact rational replay).
-    cuts_rejected: int = 0
     #: Degradation-ladder accounting: every rung walked for this solve
     #: (``["as-requested"]`` when the first answer certified), and
     #: whether the returned answer came from a degraded rung.
@@ -182,7 +179,6 @@ class SolveStats:
             "certified": self.certified,
             "certification": self.certification,
             "certification_failures": self.certification_failures,
-            "cuts_rejected": self.cuts_rejected,
             "ladder_steps": list(self.ladder_steps),
             "degraded": self.degraded,
             "bland_fallbacks": self.bland_fallbacks,
@@ -207,11 +203,6 @@ class SolveStats:
         if self.status == "feasible_gap":
             certified = "?" if self.gap is None else f"{self.gap:g}"
             flags.append(f"anytime(gap={certified})")
-        if self.cuts_gomory or self.cuts_cover or self.node_cuts:
-            flags.append(
-                f"cuts:g{self.cuts_gomory}/c{self.cuts_cover}"
-                f"/n{self.node_cuts}"
-            )
         if self.phase_times:
             rendered = " ".join(
                 f"{name.removeprefix('phase_')}={seconds * 1000:.1f}ms"
@@ -223,8 +214,6 @@ class SolveStats:
             flags.append(f"certified:{verdict}")
         if self.degraded:
             flags.append(f"ladder:{'>'.join(self.ladder_steps)}")
-        if self.cuts_rejected:
-            flags.append(f"cuts-rejected:{self.cuts_rejected}")
         if self.bland_fallbacks:
             flags.append(f"bland-fallbacks:{self.bland_fallbacks}")
         if self.numeric_drift:
@@ -301,11 +290,7 @@ def _stats_from_solution(
         gap=solution.gap,
         best_bound=None if best_bound is None else float(best_bound),
         phase_times=phase_times,
-        cuts_gomory=int(solution.stats.get("cuts_gomory", 0)),
-        cuts_cover=int(solution.stats.get("cuts_cover", 0)),
-        node_cuts=int(solution.stats.get("node_cuts_pooled", 0)),
         refactorizations=int(solution.stats.get("refactorizations", 0)),
-        cuts_rejected=int(solution.stats.get("cuts_rejected", 0)),
         bland_fallbacks=int(solution.stats.get("bland_fallbacks", 0)),
         numeric_drift=float(solution.stats.get("numeric_drift", 0.0)),
     )

@@ -14,11 +14,10 @@ This module is the shared sparse substrate:
   triplet over numpy arrays, with vectorised ``matvec`` / ``rmatvec``
   and deterministic (sorted-column) row storage;
 - :class:`CSCView` -- the column-major companion built once per matrix
-  for pricing loops that walk columns (revised simplex, cut
-  separation);
+  for pricing loops that walk columns (the revised simplex);
 - :class:`SparseArrays` -- the lowered model, shared by presolve, the
-  revised simplex, the warm-start tree, the cutting-plane layer and
-  the persistent HiGHS node LP.
+  revised simplex, the warm-start tree and the persistent HiGHS node
+  LP.
 
 Everything here is numpy-only; conversion helpers to
 ``scipy.sparse`` exist for the scipy-backed solvers but import scipy
@@ -28,8 +27,8 @@ lazily so the from-scratch path stays dependency-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -179,23 +178,6 @@ class CSRMatrix:
             (self.data, self.indices, self.indptr), shape=self.shape
         )
 
-    # -- structural edits (all return new matrices) ----------------------
-
-    def vstack_rows(
-        self, rows: Sequence[Dict[int, float]]
-    ) -> "CSRMatrix":
-        """This matrix with *rows* appended below."""
-        extra = CSRMatrix.from_row_dicts(rows, self.shape[1])
-        indptr = np.concatenate(
-            [self.indptr, self.indptr[-1] + extra.indptr[1:]]
-        )
-        return CSRMatrix(
-            (self.shape[0] + extra.shape[0], self.shape[1]),
-            indptr,
-            np.concatenate([self.indices, extra.indices]),
-            np.concatenate([self.data, extra.data]),
-        )
-
     def __eq__(self, other: object) -> bool:  # pragma: no cover - debug aid
         if not isinstance(other, CSRMatrix):
             return NotImplemented
@@ -290,19 +272,3 @@ class SparseArrays:
     @property
     def m_eq(self) -> int:
         return self.a_eq.shape[0]
-
-    def with_extra_ub_rows(
-        self, rows: Sequence[Dict[int, float]], rhs: Sequence[float]
-    ) -> "SparseArrays":
-        """A copy with *rows* appended to the ``<=`` block (cut rows)."""
-        return SparseArrays(
-            costs=self.costs,
-            a_ub=self.a_ub.vstack_rows(rows),
-            b_ub=np.concatenate([self.b_ub, np.asarray(rhs, dtype=float)]),
-            a_eq=self.a_eq,
-            b_eq=self.b_eq,
-            lower=self.lower,
-            upper=self.upper,
-            integral=self.integral,
-            objective_constant=self.objective_constant,
-        )

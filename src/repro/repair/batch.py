@@ -373,9 +373,6 @@ class BatchReport:
             "certified": float(self.n_certified),
             "uncertified": float(self.n_uncertified),
             "degraded": float(self.n_degraded),
-            "cuts_rejected": float(
-                sum(s.cuts_rejected for s in self.all_stats)
-            ),
             "wall_time": self.wall_time,
             "solver_seconds": self.solver_seconds,
             **{

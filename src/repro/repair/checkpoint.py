@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -43,6 +43,11 @@ from repro.relational.database import Database
 from repro.repair.updates import AtomicUpdate, Repair
 
 JOURNAL_VERSION = 1
+
+#: The :class:`SolveStats` fields a journaled stats entry may set.
+#: Journals written by older versions can carry fields that have since
+#: been removed (such as the cut-rejection counter); loading drops them.
+_STATS_FIELDS = frozenset(f.name for f in fields(SolveStats))
 
 
 class CheckpointError(RuntimeError):
@@ -157,7 +162,10 @@ def record_to_result(record: Dict[str, Any]) -> "BatchItemResult":  # noqa: F821
             )
             for u in record["repair"]
         )
-    stats = [SolveStats(**entry) for entry in record.get("stats", [])]
+    stats = [
+        SolveStats(**{k: v for k, v in entry.items() if k in _STATS_FIELDS})
+        for entry in record.get("stats", [])
+    ]
     return BatchItemResult(
         index=record["index"],
         name=record.get("name", ""),

@@ -220,8 +220,8 @@ class RepairEngine:
         exact rational arithmetic with the numerics degradation ladder
         behind them (:mod:`repro.milp.certify`), and the final repaired
         document is independently re-checked against the paper-level
-        ground constraints -- so a bug anywhere in lowering, presolve,
-        cuts or warm starts surfaces as a typed failure instead of a
+        ground constraints -- so a bug anywhere in lowering, presolve
+        or warm starts surfaces as a typed failure instead of a
         silently wrong repair."""
         if on_infeasible not in ON_INFEASIBLE_MODES:
             raise ValueError(

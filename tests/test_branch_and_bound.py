@@ -31,24 +31,9 @@ class TestSearchBehaviour:
         x = model.add_variable("x", VarType.INTEGER, lower=0, upper=10)
         model.add_constraint(2 * x <= 5)
         model.set_objective(-x)
-        # cuts=False: a Gomory round would close x <= 2.5 to x <= 2 and
-        # make the root integral; this test is about the branching path.
-        solution = solve_branch_and_bound(model, presolve=False, cuts=False)
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.stats["nodes"] > 1.0
-
-    def test_root_cuts_close_simple_gap_without_branching(self):
-        # The flip side of the test above: with cuts on, the same model
-        # needs no branching at all and still reports the cut counters.
-        model = MILPModel("cut")
-        x = model.add_variable("x", VarType.INTEGER, lower=0, upper=10)
-        model.add_constraint(2 * x <= 5)
-        model.set_objective(-x)
         solution = solve_branch_and_bound(model, presolve=False)
         assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(-2.0)
-        assert solution.stats["nodes"] == 1.0
-        assert solution.stats["cut_rounds"] >= 1.0
+        assert solution.stats["nodes"] > 1.0
 
     def test_unbounded_root(self):
         model = MILPModel("unb")

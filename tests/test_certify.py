@@ -20,9 +20,7 @@ Covers the PR's robustness contract end to end:
 - checkpoint hygiene: uncertified results are never journaled, so a
   resume re-derives them while certified neighbours replay;
 - seeded numeric-noise chaos (:func:`repro.faultinject.inject_numeric_noise`)
-  leaves every solve certified with the same repair cardinality;
-- exact cut-witness replay rejects a cut that would shave off a known
-  integer-feasible point.
+  leaves every solve certified with the same repair cardinality.
 
 Seeds honour ``REPRO_TEST_SEED`` (see ``tests/_seeds.py``).
 """
@@ -44,9 +42,7 @@ from repro.milp.certify import (
     certify_database,
     certify_repair,
     certify_solution,
-    cut_excludes_point,
 )
-from repro.milp.cuts import Cut, cut_rejected_by_witness
 from repro.milp.model import (
     Constraint,
     LinExpr,
@@ -392,7 +388,6 @@ class TestNumericsGovernor:
             "as-requested",
             "pricing:dantzig",
             "pricing:bland",
-            "cuts:off",
             "backend:scipy",
         ]
 
@@ -401,20 +396,18 @@ class TestNumericsGovernor:
         # would re-run the identical solve; the rung is skipped.
         governor = NumericsGovernor("bnb-simplex", {})
         assert governor.ladder() == [
-            "as-requested", "pricing:bland", "cuts:off", "backend:scipy",
+            "as-requested", "pricing:bland", "backend:scipy",
         ]
 
     def test_bnb_ladder_has_no_pricing_rungs(self):
         governor = NumericsGovernor("bnb", {})
-        assert governor.ladder() == [
-            "as-requested", "cuts:off", "backend:scipy",
-        ]
+        assert governor.ladder() == ["as-requested", "backend:scipy"]
 
     def test_scipy_is_its_own_last_resort(self):
         assert NumericsGovernor("scipy", {}).ladder() == ["as-requested"]
 
     def test_already_degraded_options_collapse_rungs(self):
-        governor = NumericsGovernor("bnb", {"cuts": False})
+        governor = NumericsGovernor("bnb-simplex", {"pricing": "bland"})
         assert governor.ladder() == ["as-requested", "backend:scipy"]
 
     def test_scipy_rung_strips_bnb_only_options(self):
@@ -444,10 +437,8 @@ class TestDegradationLadder:
         solution, stats = solve_with_stats(model, backend="bnb", certify=True)
         assert stats.certified is True
         assert stats.degraded is True
-        assert stats.ladder_steps == [
-            "as-requested", "cuts:off", "backend:scipy",
-        ]
-        assert stats.certification_failures == 2
+        assert stats.ladder_steps == ["as-requested", "backend:scipy"]
+        assert stats.certification_failures == 1
         assert stats.backend == "scipy"
         assert solution.objective == pytest.approx(1.0)
 
@@ -585,27 +576,3 @@ class TestCheckpointCertification:
         assert off.n_certified == 0
         assert all(r.certified is None for r in off.results)
 
-
-# ---------------------------------------------------------------------------
-# Exact cut-witness replay
-# ---------------------------------------------------------------------------
-
-
-class TestCutWitnessRejection:
-    def test_cut_excluding_integer_witness_is_detected(self):
-        # x1 + x2 <= 1 excludes the integer point (1, 1).
-        assert cut_excludes_point(((0, 1.0), (1, 1.0)), 1.0, [1.0, 1.0])
-        assert not cut_excludes_point(((0, 1.0), (1, 1.0)), 2.0, [1.0, 1.0])
-
-    def test_tolerance_band_does_not_false_positive(self):
-        # Violation far below the scale-relative tolerance: accepted.
-        assert not cut_excludes_point(((0, 1.0),), 1.0 - 1e-9, [1.0])
-
-    def test_cut_rejected_by_witness(self):
-        bad = Cut(coefficients=((0, 1.0), (1, 1.0)), rhs=1.0, family="gomory")
-        good = Cut(coefficients=((0, 1.0), (1, 1.0)), rhs=2.0, family="gomory")
-        witnesses = [[1.0, 1.0]]
-        assert cut_rejected_by_witness(bad, witnesses)
-        assert not cut_rejected_by_witness(good, witnesses)
-        assert not cut_rejected_by_witness(bad, None)
-        assert not cut_rejected_by_witness(bad, [])

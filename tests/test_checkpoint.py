@@ -16,6 +16,7 @@ import pytest
 from repro.acquisition.ocr import inject_value_errors
 from repro.datasets import generate_cash_budget
 from repro.milp.solver import SolveStats
+from repro.repair import batch as batch_module
 from repro.repair.batch import BatchItemResult, RepairTask, repair_batch
 from repro.repair.checkpoint import (
     CheckpointError,
@@ -180,6 +181,40 @@ def test_resume_replays_results_exactly(tmp_path, workload):
         assert (a.status, str(a.repair), a.objective) == (
             b.status, str(b.repair), b.objective,
         )
+
+
+def test_resume_drops_stats_keys_of_removed_fields(tmp_path, workload, monkeypatch):
+    # A journal written before a SolveStats field was removed still
+    # carries that key in every stats entry (here the cut layer's
+    # ``cuts_rejected``).  Resume must load it and re-solve nothing.
+    seeds = derived_seeds(2)
+    tasks = [make_task(workload, s, name=f"t{i}") for i, s in enumerate(seeds)]
+    checkpoint = tmp_path / "batch.jsonl"
+    first = repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+    records = [
+        json.loads(line)
+        for line in checkpoint.read_text(encoding="utf-8").splitlines()
+    ]
+    legacy_entries = 0
+    for record in records:
+        for entry in record.get("stats", []):
+            entry["cuts_rejected"] = 0
+            legacy_entries += 1
+    assert legacy_entries > 0
+    checkpoint.write_text(
+        "".join(json.dumps(record) + "\n" for record in records),
+        encoding="utf-8",
+    )
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("resume re-solved a journaled task")
+
+    monkeypatch.setattr(batch_module, "execute_task", no_solve)
+    second = repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+    assert second.n_resumed == len(tasks)
+    first_aggregate = {k: v for k, v in first.aggregate().items() if k != "wall_time"}
+    second_aggregate = {k: v for k, v in second.aggregate().items() if k != "wall_time"}
+    assert first_aggregate == second_aggregate
 
 
 def test_no_resume_starts_over(tmp_path, workload):

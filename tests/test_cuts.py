@@ -1,10 +1,17 @@
-"""Validity and integration tests for the cutting-plane layer.
+"""Validity tests for the cut-free root relaxation and search.
 
-The cardinal rule of cutting planes: a cut may never exclude an
-integer-feasible point.  These tests enforce it by exhaustive
-enumeration on small boxes, then check the solver-level guarantees --
-objectives identical with cuts on and off, and the root bound never
-worse with cuts on.
+The branch-and-bound adds no cutting planes: the root and every node
+solve the lowered (and presolved) LP relaxation as it stands.  The two
+guarantees a cut had to keep are guarantees of that relaxation and of
+the search built on it, and these tests enforce them by exhaustive
+enumeration on small integer boxes:
+
+- no integer-feasible point is cut away: the search returns exactly
+  the enumerated optimum on both LP backends, and reports
+  infeasibility only when no integer point is feasible;
+- the root bound is valid and never worse than the plain relaxation:
+  both LP engines agree on it, it never exceeds the objective of any
+  integer-feasible point, and the search never ends below it.
 """
 
 import itertools
@@ -13,12 +20,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.milp.branch_and_bound import solve_branch_and_bound
-from repro.milp.cuts import Cut, CutPool, cover_cuts, root_cut_loop
+from repro.milp.branch_and_bound import LP_BACKENDS, solve_branch_and_bound
 from repro.milp.lowering import lower_model_sparse
 from repro.milp.model import MILPModel, SolveStatus, VarType
-
-from tests.test_differential_backends import random_grounded_milp
+from repro.milp.node_lp import solve_lp_linprog
+from repro.milp.revised import solve_lp_sparse
 
 
 def random_integer_model(seed: int) -> MILPModel:
@@ -48,98 +54,43 @@ class TestCutValidity:
     @pytest.mark.parametrize("seed", range(40))
     def test_root_cuts_never_exclude_integer_points(self, seed):
         model = random_integer_model(seed)
-        result = root_cut_loop(lower_model_sparse(model))
-        if not result.cuts:
-            pytest.skip("no cuts separated for this seed")
-        for x in enumerate_feasible_points(model):
-            for cut in result.cuts:
-                assert cut.violation(x) <= 1e-7, (seed, cut.family)
+        objectives = [
+            model.evaluate_objective(x) for x in enumerate_feasible_points(model)
+        ]
+        for lp_backend in LP_BACKENDS:
+            solution = solve_branch_and_bound(model, lp_backend=lp_backend)
+            if not objectives:
+                assert solution.status is SolveStatus.INFEASIBLE, (seed, lp_backend)
+                continue
+            assert solution.status is SolveStatus.OPTIMAL, (seed, lp_backend)
+            assert solution.objective == pytest.approx(min(objectives), abs=1e-7)
+            assert solution.values is not None
+            x = np.array([solution.values[v.name] for v in model.variables])
+            assert model.check_feasible(x), (seed, lp_backend)
+            assert model.evaluate_objective(x) == pytest.approx(
+                solution.objective, abs=1e-7
+            )
 
     @pytest.mark.parametrize("seed", range(40))
     def test_root_bound_never_worse_with_cuts(self, seed):
         model = random_integer_model(seed)
         arrays = lower_model_sparse(model)
-        from repro.milp.revised import solve_lp_sparse
-
         plain = solve_lp_sparse(arrays)
-        result = root_cut_loop(arrays)
-        if plain.status != "optimal" or result.lp.status != "optimal":
+        if plain.status != "optimal":
             pytest.skip("relaxation not optimal")
-        assert result.lp.objective >= plain.objective - 1e-7
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_node_cover_cuts_respect_node_bounds(self, seed):
-        # Cover cuts separated under tightened bounds stay valid for
-        # every integer point inside that box.
-        model = random_integer_model(seed + 200)
-        arrays = lower_model_sparse(model)
-        from repro.milp.revised import solve_lp_sparse
-
-        lower = arrays.lower.copy()
-        upper = arrays.upper.copy()
-        upper[0] = min(upper[0], 1.0)  # a branching-style tightening
-        lp = solve_lp_sparse(arrays, lower, upper)
-        if lp.status != "optimal":
-            pytest.skip("tightened relaxation infeasible")
-        cuts = cover_cuts(arrays, lp.x, lower, upper, max_cuts=8)
-        if not cuts:
-            pytest.skip("no cover cuts for this seed")
-        for x in enumerate_feasible_points(model):
-            if x[0] > upper[0]:
-                continue  # outside the node's box: cut need not hold
-            for cut in cuts:
-                assert cut.violation(x) <= 1e-7
-
-
-class TestSolverEquivalence:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_objectives_match_with_and_without_cuts(self, seed):
-        model = random_grounded_milp(seed)
-        with_cuts = solve_branch_and_bound(model)
-        without = solve_branch_and_bound(model, cuts=False)
-        assert with_cuts.status is without.status
-        if without.status is SolveStatus.OPTIMAL:
-            assert with_cuts.objective == pytest.approx(
-                without.objective, abs=1e-6
-            )
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_objectives_match_without_presolve(self, seed):
-        # presolve=False leaves the wide big-M rows in place -- the
-        # hostile regime for numerically invalid Gomory cuts.
-        model = random_grounded_milp(seed)
-        with_cuts = solve_branch_and_bound(model, presolve=False)
-        without = solve_branch_and_bound(model, presolve=False, cuts=False)
-        assert with_cuts.status is without.status
-        if without.status is SolveStatus.OPTIMAL:
-            assert with_cuts.objective == pytest.approx(
-                without.objective, abs=1e-6
-            )
-
-
-class TestCutPool:
-    def test_scoping_by_fixed_set(self):
-        pool = CutPool()
-        globally = Cut(coefficients=((0, 1.0),), rhs=1.0, family="cover")
-        scoped = Cut(coefficients=((1, 1.0),), rhs=0.0, family="cover")
-        pool.add(frozenset(), globally)
-        key = frozenset({(3, "upper", 1.0)})
-        pool.add(key, scoped)
-        # Root (no decisions): only the global cut.
-        assert pool.cuts_for(frozenset()) == [globally]
-        # Inside the subtree: both.
-        node = frozenset({(3, "upper", 1.0), (5, "lower", 2.0)})
-        assert sorted(c.rhs for c in pool.cuts_for(node)) == [0.0, 1.0]
-        # A different branch never sees the scoped cut.
-        other = frozenset({(3, "upper", 2.0)})
-        assert pool.cuts_for(other) == [globally]
-
-    def test_duplicate_cuts_are_rejected(self):
-        pool = CutPool()
-        cut = Cut(coefficients=((0, 1.0), (1, 1.0)), rhs=1.0, family="cover")
-        assert pool.add(frozenset(), cut)
-        assert not pool.add(frozenset(), cut)
-        assert len(pool) == 1
-        # Same cut under a different key is a distinct pool entry.
-        assert pool.add(frozenset({(0, "upper", 0.0)}), cut)
-        assert len(pool) == 2
+        highs = solve_lp_linprog(arrays, arrays.lower, arrays.upper)
+        assert highs.status == "optimal"
+        assert highs.objective == pytest.approx(plain.objective, abs=1e-7)
+        root_bound = plain.objective + arrays.objective_constant
+        objectives = [
+            model.evaluate_objective(x) for x in enumerate_feasible_points(model)
+        ]
+        for value in objectives:
+            assert root_bound <= value + 1e-7, seed
+        for presolve in (True, False):
+            solution = solve_branch_and_bound(model, presolve=presolve)
+            if not objectives:
+                assert solution.status is SolveStatus.INFEASIBLE, (seed, presolve)
+                continue
+            assert solution.status is SolveStatus.OPTIMAL, (seed, presolve)
+            assert solution.objective >= root_bound - 1e-7, (seed, presolve)

@@ -150,20 +150,3 @@ class TestWarmRestarts:
                     reference.objective, abs=1e-6
                 ), seed
 
-
-class TestTableauRows:
-    @pytest.mark.parametrize("seed", [0, 2, 5, 9])
-    def test_tableau_row_reproduces_basic_values(self, seed):
-        arrays = random_lp(seed + 40)
-        engine = RevisedSimplex(arrays)
-        result = engine.solve()
-        if result.status != "optimal":
-            pytest.skip("needs an optimal basis")
-        # For each row r: xB[r] = rhs_bar - sum alpha_j * x_j over
-        # nonbasic columns at nonzero values; verify via the identity
-        # B^-1 (A x) = B^-1 b applied to the solution.
-        m = arrays.m_ub + arrays.m_eq
-        for r in range(min(m, 3)):
-            alpha, _rho = engine.tableau_row(r)
-            assert alpha.shape[0] >= arrays.n
-            assert np.all(np.isfinite(alpha))

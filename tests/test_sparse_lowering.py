@@ -16,7 +16,7 @@ import pytest
 from repro.milp.branch_and_bound import solve_branch_and_bound
 from repro.milp.lowering import lower_model, lower_model_sparse
 from repro.milp.model import MILPModel, SolveStatus, VarType
-from repro.milp.sparse import CSRMatrix, SparseArrays
+from repro.milp.sparse import CSRMatrix
 
 from tests.test_differential_backends import random_grounded_milp
 
@@ -125,27 +125,6 @@ class TestCSRMatrixBehaviour:
             expected = np.flatnonzero(dense[:, j])
             np.testing.assert_array_equal(rows, expected)
             np.testing.assert_allclose(values, dense[expected, j])
-
-    def test_with_extra_ub_rows_appends(self):
-        arrays = SparseArrays(
-            costs=np.array([1.0, 2.0]),
-            a_ub=CSRMatrix.from_row_dicts([{0: 1.0}], 2),
-            b_ub=np.array([4.0]),
-            a_eq=CSRMatrix.empty(2),
-            b_eq=np.zeros(0),
-            lower=np.zeros(2),
-            upper=np.full(2, 10.0),
-            integral=[0, 1],
-            objective_constant=0.0,
-        )
-        extended = arrays.with_extra_ub_rows([{0: 1.0, 1: 1.0}], [3.0])
-        assert extended.m_ub == 2
-        np.testing.assert_array_equal(
-            extended.a_ub.to_dense(), [[1.0, 0.0], [1.0, 1.0]]
-        )
-        np.testing.assert_array_equal(extended.b_ub, [4.0, 3.0])
-        # The original is untouched.
-        assert arrays.m_ub == 1
 
 
 def permute_rows(model: MILPModel, seed: int) -> MILPModel:
