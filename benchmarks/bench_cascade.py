@@ -6,8 +6,8 @@ and enforces the cascade's three contractual gates:
 
 - **coverage** -- on the e3-e5 slice (3+ injected errors), at least
   60% of violated ground rows are resolved without invoking the MILP;
-- **honesty** -- ``misrepair_rate == 0`` at the default budget: every
-  closed-form (T1/T2) fix restores the injected source value exactly;
+- **honesty** -- ``misrepair_rate == 0``: every closed-form (T1) fix
+  restores the injected source value exactly;
 - **optimality** -- the cascade's final repair cardinality equals the
   exact backend's proven optimum on every scenario.
 

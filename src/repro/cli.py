@@ -60,7 +60,6 @@ from repro.milp.iis import IISError
 from repro.repair.batch import RepairTask, repair_batch
 from repro.repair.cqa import consistent_aggregate_answer
 from repro.repair.engine import (
-    HEURISTIC_BACKEND,
     ON_INFEASIBLE_MODES,
     STRATEGIES,
     RepairEngine,
@@ -142,7 +141,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
         presolve=not args.no_presolve,
         on_infeasible=args.on_infeasible,
         strategy=args.strategy,
-        misrepair_budget=args.misrepair_budget,
         certify=args.certify,
     )
     if args.explain_infeasible:
@@ -268,7 +266,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         max_task_retries=args.max_task_retries,
         on_infeasible=args.on_infeasible,
         strategy=args.strategy,
-        misrepair_budget=args.misrepair_budget,
         certify=args.certify,
     )
     for result in report.results:
@@ -331,7 +328,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache,
         on_infeasible=args.on_infeasible,
         strategy=args.strategy,
-        misrepair_budget=args.misrepair_budget,
         certify=args.certify,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
@@ -484,11 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_repair.add_argument(
         "--backend",
-        choices=available_backends() + [HEURISTIC_BACKEND],
+        choices=available_backends(),
         default=DEFAULT_BACKEND,
-        help="MILP backend, or 'heuristic' for the greedy approximate "
-             "repair (verified but not necessarily minimal) "
-             "(default: %(default)s)",
+        help="MILP backend (default: %(default)s)",
     )
     p_repair.add_argument(
         "--strategy",
@@ -499,12 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
              "tier first, invoking the MILP only on "
              "the residue (same card-minimality guarantee) "
              "(default: %(default)s)",
-    )
-    p_repair.add_argument(
-        "--misrepair-budget", type=int, default=0, metavar="N",
-        help="cascade only: accept up to N ambiguous closed-form fixes "
-             "per tier instead of falling through to the next tier "
-             "(default: %(default)s, i.e. any ambiguity falls through)",
     )
     p_repair.add_argument(
         "--certify", action=argparse.BooleanOptionalAction, default=True,
@@ -591,14 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=list(STRATEGIES),
         default="exact",
-        help="repair strategy for every task (a task's own strategy "
-             "field overrides); 'cascade' resolves most violations "
-             "without the MILP (default: %(default)s)",
-    )
-    p_batch.add_argument(
-        "--misrepair-budget", type=int, default=0, metavar="N",
-        help="cascade only: per-tier ambiguity budget "
-             "(default: %(default)s)",
+        help="repair strategy for every task; 'cascade' resolves most "
+             "violations without the MILP (default: %(default)s)",
     )
     p_batch.add_argument(
         "--certify", action=argparse.BooleanOptionalAction, default=True,
@@ -690,10 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(STRATEGIES),
         default="exact",
         help="repair strategy (default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--misrepair-budget", type=int, default=0, metavar="N",
-        help="cascade only: per-tier ambiguity budget (default: %(default)s)",
     )
     p_serve.add_argument(
         "--certify", action=argparse.BooleanOptionalAction, default=True,

@@ -129,18 +129,12 @@ class SolveCache:
         model: MILPModel,
         backend: str,
         options: Optional[Mapping[str, Any]] = None,
-        semantics: Optional[Mapping[str, Any]] = None,
     ) -> CacheKey:
         """The cache key: backend, canonical options, model fingerprint.
 
-        *semantics* carries caller-level context that changes what the
-        stored solution *means* without appearing in the model itself
-        -- e.g. the repair strategy and mis-repair budget of a cascade
-        solve (``repro.repair.cascade``), whose residue solution must
-        never be served for a plain ``exact`` request on the same
-        fingerprint.  Unlike backend options, semantics entries are
-        always folded into the key, never filtered by
-        :data:`PERFORMANCE_OPTIONS`.
+        A MILP's optimum depends on the model alone, and the fingerprint
+        covers the whole model, so an exact request and a cascade
+        residue with the same model share one entry.
         """
         rendered_options = repr(
             (
@@ -149,7 +143,7 @@ class SolveCache:
                     for name, value in (options or {}).items()
                     if name not in PERFORMANCE_OPTIONS
                 ),
-                sorted((semantics or {}).items()),
+                [],  # keeps the bytes of keys already in durable stores
             )
         )
         return (backend, rendered_options, canonical_fingerprint(model))

@@ -42,7 +42,7 @@ comparisons themselves are exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -101,13 +101,7 @@ class Certificate:
     objective_exact: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "certified": self.certified,
-            "level": self.level,
-            "checks": self.checks,
-            "failures": list(self.failures),
-            "objective_exact": self.objective_exact,
-        }
+        return asdict(self)
 
     def __str__(self) -> str:
         verdict = "certified" if self.certified else "REJECTED"

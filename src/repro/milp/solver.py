@@ -21,7 +21,8 @@ engine: it times the call, consults an optional
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.diagnostics import NumericInstabilityError
@@ -57,9 +58,6 @@ FALLBACK_BACKEND: Dict[str, str] = {
     "scipy": "bnb",
     "bnb": "scipy",
     "bnb-simplex": "scipy",
-    # The repair engine's approximate backend (not a milp backend --
-    # see repro.repair.heuristic); its fallback is the exact default.
-    "heuristic": "scipy",
 }
 
 
@@ -149,41 +147,10 @@ class SolveStats:
     numeric_drift: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "status": self.status,
-            "wall_time": self.wall_time,
-            "nodes": self.nodes,
-            "simplex_pivots": self.simplex_pivots,
-            "cache_hit": self.cache_hit,
-            "fallback": self.fallback,
-            "n_variables": self.n_variables,
-            "n_constraints": self.n_constraints,
-            "objective": self.objective,
-            "presolve_reductions": self.presolve_reductions,
-            "warm_start_hits": self.warm_start_hits,
-            "warm_start_fallbacks": self.warm_start_fallbacks,
-            "heuristic_seeded": self.heuristic_seeded,
-            "heuristic_gap": self.heuristic_gap,
-            "gap": self.gap,
-            "best_bound": self.best_bound,
-            "phase": self.phase,
-            "tier": self.tier,
-            "tier_hits": self.tier_hits,
-            "tier_fallthroughs": self.tier_fallthroughs,
-            "phase_times": dict(self.phase_times),
-            "cuts_gomory": self.cuts_gomory,
-            "cuts_cover": self.cuts_cover,
-            "node_cuts": self.node_cuts,
-            "refactorizations": self.refactorizations,
-            "certified": self.certified,
-            "certification": self.certification,
-            "certification_failures": self.certification_failures,
-            "ladder_steps": list(self.ladder_steps),
-            "degraded": self.degraded,
-            "bland_fallbacks": self.bland_fallbacks,
-            "numeric_drift": self.numeric_drift,
-        }
+        # Every field in declaration order, containers shallow-copied.
+        # Not dataclasses.asdict: its per-value deepcopy costs ~20x
+        # more, and every journaled result pays this once per record.
+        return {f.name: copy(getattr(self, f.name)) for f in fields(self)}
 
     def __str__(self) -> str:
         flags = []
@@ -301,7 +268,6 @@ def solve_with_stats(
     backend: str = DEFAULT_BACKEND,
     *,
     cache: Optional[SolveCache] = None,
-    cache_semantics: Optional[Dict[str, object]] = None,
     certify: bool = False,
     **options,
 ) -> Tuple[Solution, SolveStats]:
@@ -309,11 +275,7 @@ def solve_with_stats(
 
     With a *cache*, the canonical fingerprint of the model is looked up
     first; a hit skips the backend entirely and is flagged in the
-    returned :class:`SolveStats`.  *cache_semantics* is caller context
-    folded into the key unconditionally (see
-    :meth:`~repro.milp.cache.SolveCache.key_for`): a cascade residue
-    solve and an exact solve of the same fingerprint must not share an
-    entry.
+    returned :class:`SolveStats`.
 
     With ``certify=True`` every answer is replayed against the original
     model in exact rational arithmetic (:mod:`repro.milp.certify`).  A
@@ -325,13 +287,10 @@ def solve_with_stats(
     :class:`~repro.diagnostics.NumericInstabilityError`.
     """
     if certify:
-        return _solve_certified(
-            model, backend, cache=cache, cache_semantics=cache_semantics,
-            **options,
-        )
+        return _solve_certified(model, backend, cache=cache, **options)
     started = time.perf_counter()
     if cache is not None:
-        key = SolveCache.key_for(model, backend, options, cache_semantics)
+        key = SolveCache.key_for(model, backend, options)
         hit = cache.get(key)
         if hit is not None:
             return hit, _stats_from_solution(
@@ -371,7 +330,6 @@ def _solve_certified(
     backend: str,
     *,
     cache: Optional[SolveCache],
-    cache_semantics: Optional[Dict[str, object]],
     **options,
 ) -> Tuple[Solution, SolveStats]:
     """The ``certify=True`` body of :func:`solve_with_stats`.
@@ -385,7 +343,7 @@ def _solve_certified(
     started = time.perf_counter()
     key = None
     if cache is not None:
-        key = SolveCache.key_for(model, backend, options, cache_semantics)
+        key = SolveCache.key_for(model, backend, options)
         hit = cache.get(key)
         if hit is not None:
             # Never trust a cached answer blindly: re-certify on read.

@@ -8,8 +8,8 @@
 - :mod:`repro.repair.engine` -- :class:`RepairEngine`, the public
   entry point computing card-minimal repairs;
 - :mod:`repro.repair.heuristic` -- the greedy primal repair over the
-  MILP translation: an approximate backend and the incumbent seed for
-  the branch-and-bound backends;
+  MILP translation: the incumbent seed for the branch-and-bound
+  backends and the cascade's proof-gated T3 candidate;
 - :mod:`repro.repair.cascade` -- the tiered repair cascade
   (``strategy="cascade"``): confusion-matrix inversion, equality
   back-solving and a certified greedy tier resolve most violations
@@ -65,7 +65,6 @@ from repro.repair.setminimal import (
     is_set_minimal,
 )
 from repro.repair.engine import (
-    HEURISTIC_BACKEND,
     STRATEGIES,
     RepairEngine,
     RepairOutcome,
@@ -78,9 +77,6 @@ from repro.repair.cascade import (
     CascadeFix,
     CascadeReport,
     TierStats,
-    ViolationClass,
-    classify_violation,
-    classify_violations,
     run_cascade,
 )
 from repro.repair.heuristic import HeuristicResult, greedy_repair
@@ -124,7 +120,6 @@ __all__ = [
     "theoretical_big_m",
     "practical_big_m",
     "RepairEngine",
-    "HEURISTIC_BACKEND",
     "STRATEGIES",
     "HeuristicResult",
     "greedy_repair",
@@ -132,9 +127,6 @@ __all__ = [
     "CascadeFix",
     "CascadeReport",
     "TierStats",
-    "ViolationClass",
-    "classify_violation",
-    "classify_violations",
     "run_cascade",
     "TIERS",
     "CLOSED_FORM_TIERS",

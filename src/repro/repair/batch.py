@@ -84,7 +84,11 @@ from repro.milp.cache import DEFAULT_CACHE_SIZE, SolveCache
 from repro.milp.solver import DEFAULT_BACKEND, FALLBACK_BACKEND, SolveStats
 from repro.relational.database import Database
 from repro.repair.cascade import TIER_EXACT, TIERS
-from repro.repair.checkpoint import CheckpointJournal, task_fingerprint
+from repro.repair.checkpoint import (
+    CheckpointJournal,
+    journal_worthy,
+    task_fingerprint,
+)
 from repro.repair.engine import ON_INFEASIBLE_MODES, STRATEGIES, RepairEngine
 from repro.repair.translation import RepairObjective
 from repro.repair.updates import Repair
@@ -142,11 +146,6 @@ class RepairTask:
     objective: RepairObjective = RepairObjective.CARDINALITY
     weights: Optional[Mapping[Cell, float]] = None
     pins: Optional[Mapping[Cell, float]] = None
-    #: Repair strategy override (``"exact"`` / ``"cascade"``); None
-    #: inherits the batch-level default.
-    strategy: Optional[str] = None
-    #: Cascade mis-repair budget override; None inherits the batch's.
-    misrepair_budget: Optional[int] = None
 
 
 @dataclass
@@ -425,7 +424,6 @@ def _attempt(
     stats_sink: List[SolveStats],
     on_infeasible: str = "raise",
     strategy: str = "exact",
-    misrepair_budget: int = 0,
     certify: bool = True,
 ) -> Tuple[
     str, Optional[Repair], Optional[float], bool, Optional[float],
@@ -444,12 +442,7 @@ def _attempt(
         weights=task.weights,
         solve_cache=cache,
         on_infeasible=on_infeasible,
-        strategy=task.strategy or strategy,
-        misrepair_budget=(
-            misrepair_budget
-            if task.misrepair_budget is None
-            else task.misrepair_budget
-        ),
+        strategy=strategy,
         certify=certify,
     )
     try:
@@ -501,7 +494,6 @@ def execute_task(
     cache: Optional[SolveCache] = None,
     on_infeasible: str = "raise",
     strategy: str = "exact",
-    misrepair_budget: int = 0,
     certify: bool = True,
 ) -> BatchItemResult:
     """Run one task with budget + fallback-backend semantics.
@@ -524,7 +516,7 @@ def execute_task(
         status, repair, objective, approximate, gap, violations, certified = (
             _attempt(
                 task, primary, timeout, cache, stats, on_infeasible,
-                strategy, misrepair_budget, certify,
+                strategy, certify,
             )
         )
         return BatchItemResult(
@@ -564,7 +556,7 @@ def execute_task(
             status, repair, objective, approximate, gap, violations, certified = (
                 _attempt(
                     task, fallback, timeout, cache, fallback_stats, on_infeasible,
-                    strategy, misrepair_budget, certify,
+                    strategy, certify,
                 )
             )
             for record in fallback_stats:
@@ -745,7 +737,7 @@ def _run_chunk(payload: Tuple) -> List[BatchItemResult]:
     """Execute one chunk of entries inside a worker."""
     (
         chunk, default_backend, timeout, retry_fallback, sentinel_dir,
-        on_infeasible, strategy, misrepair_budget, certify,
+        on_infeasible, strategy, certify,
     ) = payload
     results = []
     for index, attempt, task in chunk:
@@ -760,7 +752,6 @@ def _run_chunk(payload: Tuple) -> List[BatchItemResult]:
             cache=_WORKER_CACHE,
             on_infeasible=on_infeasible,
             strategy=strategy,
-            misrepair_budget=misrepair_budget,
             certify=certify,
         )
         result.attempts = attempt + 1
@@ -822,7 +813,6 @@ def _run_generation(
     hard_timeout: Optional[float],
     on_infeasible: str,
     strategy: str,
-    misrepair_budget: int,
     certify: bool,
     on_result: Callable[[BatchItemResult], None],
 ) -> Tuple[List[_Entry], bool]:
@@ -853,7 +843,6 @@ def _run_generation(
                 sentinel_dir,
                 on_infeasible,
                 strategy,
-                misrepair_budget,
                 certify,
             )
             try:
@@ -920,7 +909,6 @@ def _run_pool(
     fault_config: Optional[FaultConfig],
     on_infeasible: str,
     strategy: str,
-    misrepair_budget: int,
     certify: bool,
     on_result: Callable[[BatchItemResult], None],
 ) -> int:
@@ -969,7 +957,6 @@ def _run_pool(
                 hard_timeout=hard_timeout,
                 on_infeasible=on_infeasible,
                 strategy=strategy,
-                misrepair_budget=misrepair_budget,
                 certify=certify,
                 on_result=on_result,
             )
@@ -1041,7 +1028,6 @@ def repair_batch(
     fault_config: Optional[FaultConfig] = None,
     on_infeasible: str = "raise",
     strategy: str = "exact",
-    misrepair_budget: int = 0,
     certify: bool = True,
 ) -> BatchReport:
     """Repair every task, in parallel when ``workers >= 1``.
@@ -1077,12 +1063,10 @@ def repair_batch(
     infeasible tasks into ``status="relaxed"`` results carrying their
     violation report instead of ``status="infeasible"``.
 
-    ``strategy`` selects the repair path for every task that does not
-    carry its own override (``"exact"`` or ``"cascade"``, see
-    :mod:`repro.repair.cascade`); ``misrepair_budget`` is the
-    cascade-wide ambiguity allowance forwarded alongside it.  Both are
-    part of the checkpoint identity: a journal written under one
-    strategy is never replayed for another.
+    ``strategy`` selects the repair path for every task (``"exact"`` or
+    ``"cascade"``, see :mod:`repro.repair.cascade`).  It is part of the
+    checkpoint identity: a journal written under one strategy is never
+    replayed for another.
 
     ``certify`` (default on) makes every engine verify its repair in
     exact rational arithmetic (:mod:`repro.milp.certify`) and lets the
@@ -1110,10 +1094,7 @@ def repair_batch(
     if checkpoint is not None:
         journal = CheckpointJournal(checkpoint)
         fingerprints = [
-            task_fingerprint(
-                task, strategy=strategy, misrepair_budget=misrepair_budget
-            )
-            for task in task_list
+            task_fingerprint(task, strategy=strategy) for task in task_list
         ]
         header_meta = {
             "n_tasks": len(task_list),
@@ -1121,37 +1102,18 @@ def repair_batch(
             "timeout": timeout,
             "on_infeasible": on_infeasible,
             "strategy": strategy,
-            "misrepair_budget": misrepair_budget,
             "certify": certify,
         }
-        if journal.exists() and resume:
-            journal.truncate_torn_tail()
-            replayed, _ = journal.load_completed(
-                task_list, fingerprints, expected_meta=header_meta
-            )
-        else:
-            if journal.exists():
-                journal.path.unlink()
-            journal.write_header(**header_meta)
+        replayed = journal.start_run(
+            task_list, fingerprints, header_meta, resume=resume
+        )
 
     results: List[Optional[BatchItemResult]] = [None] * len(task_list)
     for index, result in replayed.items():
         results[index] = result
 
     def deliver(result: BatchItemResult) -> None:
-        # Certification hygiene (mirrors the solve cache): the journal
-        # is replayed verbatim on resume, so an uncertified or
-        # ladder-degraded result must never be persisted -- the resumed
-        # run re-solves it instead of inheriting a suspect answer.
-        journal_worthy = not (
-            certify
-            and (
-                result.status == "uncertified"
-                or result.certified is False
-                or any(s.degraded for s in result.stats)
-            )
-        )
-        if journal is not None and journal_worthy:
+        if journal is not None and journal_worthy(result, certify):
             journal.append_result(result, fingerprints[result.index])
         results[result.index] = result
 
@@ -1188,7 +1150,6 @@ def repair_batch(
                             cache=cache,
                             on_infeasible=on_infeasible,
                             strategy=strategy,
-                            misrepair_budget=misrepair_budget,
                             certify=certify,
                         )
                         result.attempts = crashes + 1
@@ -1235,7 +1196,6 @@ def repair_batch(
         fault_config=fault_config,
         on_infeasible=on_infeasible,
         strategy=strategy,
-        misrepair_budget=misrepair_budget,
         certify=certify,
         on_result=deliver,
     )

@@ -37,15 +37,14 @@ clearing pre-image that was masked before.  The numbering skips T2 on
 purpose: the tier names ``t1``/``t3``/``t4`` are stored in journals and
 benchmark records.
 
-**Mis-repair budget.**  When several distinct candidates clear a
-suspect cell's neighbourhood the channel evidence is ambiguous; picking
-one is a guess that may silently diverge from the source document (a
-*mis-repair*).  ``misrepair_budget`` bounds how many such guesses the
-whole cascade may take (default 0: only uniquely-determined fixes are
-accepted, everything ambiguous falls through to the next tier).  A
-budgeted guess takes the highest-channel-probability candidate --
-maximum-likelihood decoding of the OCR channel -- and is flagged
-``ambiguous=True`` on its :class:`CascadeFix`.
+**Ambiguity falls through.**  When several distinct candidates clear
+a suspect cell's neighbourhood, or only one violated row witnesses the
+fix, the channel evidence is ambiguous: picking one candidate would be
+a guess that may silently diverge from the source document (a
+*mis-repair*).  T1 never guesses.  It accepts only uniquely-determined,
+corroborated fixes.  Every ambiguous group is counted in
+:attr:`TierStats.ambiguous` and left to T3 and T4, which claim
+card-minimality, not fidelity.
 
 Steadiness makes the whole scheme sound: for steady constraints the
 ground system is *value-independent* (changing measure values never
@@ -57,8 +56,7 @@ working copy the cascade mutates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import asdict, dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -100,23 +98,6 @@ class CascadeError(ValueError):
     """Raised for invalid cascade configuration."""
 
 
-class ViolationClass(Enum):
-    """What kind of cheap fix a violated ground row plausibly admits.
-
-    The classifier is a *routing* device, not a verdict: it predicts
-    which tier is likely to clear the row, and the tier's acceptance
-    test has the final word.
-    """
-
-    #: Some cell of the row has channel pre-images: candidate for T1.
-    CONFUSION = "confusion"
-    #: An equality row with exactly one suspect cell; like the
-    #: residue, greedy / exact territory (T3 / T4).
-    BACKSOLVABLE = "backsolvable"
-    #: Everything else: greedy / exact territory (T3 / T4).
-    RESIDUE = "residue"
-
-
 def _render_value(value: float) -> str:
     """The cell value as the text the OCR channel would have produced."""
     as_float = float(value)
@@ -140,43 +121,6 @@ def _suspect_cells(
     return violated, ordered
 
 
-def classify_violation(
-    ground: GroundConstraint,
-    database: Database,
-    suspects: Optional[Set[Cell]] = None,
-) -> ViolationClass:
-    """Route one violated ground row to its plausible tier.
-
-    *suspects* is the set of cells touched by any violated row (computed
-    from *database* when omitted); a row is :attr:`ViolationClass.BACKSOLVABLE`
-    when it is an equality with exactly one suspect cell.
-    """
-    if suspects is None:
-        _, ordered = _suspect_cells([ground], database)
-        suspects = set(ordered)
-    for cell in ground.cells():
-        value = database.get_value(*cell)
-        if number_preimages(_render_value(value)):
-            return ViolationClass.CONFUSION
-    if ground.relop == Relop.EQ:
-        unknowns = [cell for cell in ground.cells() if cell in suspects]
-        if len(unknowns) == 1:
-            return ViolationClass.BACKSOLVABLE
-    return ViolationClass.RESIDUE
-
-
-def classify_violations(
-    grounds: Sequence[GroundConstraint], database: Database
-) -> List[PyTuple[GroundConstraint, ViolationClass]]:
-    """Classify every currently-violated ground row of *grounds*."""
-    violated, ordered = _suspect_cells(grounds, database)
-    suspects = set(ordered)
-    return [
-        (ground, classify_violation(ground, database, suspects))
-        for ground in violated
-    ]
-
-
 @dataclass(frozen=True)
 class CascadeFix:
     """One accepted cell fix, with its provenance."""
@@ -188,9 +132,6 @@ class CascadeFix:
     #: Channel probability of the inverted corruption (T1 only; 0.0 for
     #: greedy fixes, which carry no channel evidence).
     probability: float = 0.0
-    #: True when this fix spent mis-repair budget (several candidates
-    #: cleared the neighbourhood and the highest-probability one won).
-    ambiguous: bool = False
 
 
 @dataclass
@@ -207,31 +148,18 @@ class TierStats:
     #: Ambiguity events: a cell (or the whole tier, for T3) had more
     #: than one admissible answer and fell through instead of guessing.
     ambiguous: int = 0
-    #: Mis-repair budget consumed by this tier.
-    budget_spent: int = 0
     #: Violated rows still open when the tier finished (handed on).
     fallthroughs: int = 0
     wall_time: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "tier": self.tier,
-            "attempted": self.attempted,
-            "resolved": self.resolved,
-            "fixes": self.fixes,
-            "ambiguous": self.ambiguous,
-            "budget_spent": self.budget_spent,
-            "fallthroughs": self.fallthroughs,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass
 class CascadeReport:
     """What the cascade did: fixes, per-tier stats, residue."""
 
-    budget: int
-    budget_spent: int = 0
     #: Violated ground rows when the cascade started.
     n_violations: int = 0
     #: Violated rows left for the exact tier (0 = MILP-free).
@@ -266,8 +194,6 @@ class CascadeReport:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "budget": self.budget,
-            "budget_spent": self.budget_spent,
             "n_violations": self.n_violations,
             "n_residual": self.n_residual,
             "resolved_without_milp": self.resolved_without_milp,
@@ -281,7 +207,6 @@ class CascadeReport:
                     "old_value": fix.old_value,
                     "new_value": fix.new_value,
                     "probability": fix.probability,
-                    "ambiguous": fix.ambiguous,
                 }
                 for fix in self.fixes
             ],
@@ -331,21 +256,6 @@ def _neighbourhood_clears(
         database.set_value(*cell, previous)
 
 
-class _Budget:
-    """The cascade-wide mis-repair allowance."""
-
-    def __init__(self, total: int) -> None:
-        self.total = total
-        self.spent = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.total - self.spent
-
-    def take(self) -> None:
-        self.spent += 1
-
-
 def _violated_rows_by_cell(
     grounds: Sequence[GroundConstraint], database: Database
 ) -> Dict[Cell, Set[int]]:
@@ -387,7 +297,6 @@ def _inversion_pass(
     working: Database,
     grounds: Sequence[GroundConstraint],
     by_cell: Dict[Cell, List[GroundConstraint]],
-    budget: _Budget,
     stats: TierStats,
     fixes: List[CascadeFix],
 ) -> bool:
@@ -438,24 +347,19 @@ def _inversion_pass(
     # Strongest explanations first: a group clearing more violated rows
     # is the more parsimonious fix.
     for key in sorted(groups, key=lambda rows: -len(rows)):
-        candidates = sorted(groups[key], key=lambda c: -c[2])
+        candidates = groups[key]
         # Corroboration: a single violated row can never rule out
         # neighbour absorption -- every cell of the row is equally
         # suspect, and a compensating inversion on the wrong cell
         # clears the row just as well (it can even be card-minimal).
         # Only a candidate confirmed by >= 2 independently violated
         # rows is an unambiguous fidelity claim; single-witness
-        # inversions cost budget and otherwise fall through to the
-        # certified tiers, which claim minimality, not fidelity.
-        corroborated = len(key) >= 2
-        ambiguous = len(candidates) > 1 or not corroborated
-        if ambiguous:
+        # inversions fall through to the certified tiers, which claim
+        # minimality, not fidelity.
+        if len(candidates) > 1 or len(key) < 2:
             stats.ambiguous += 1
-            if budget.remaining <= 0:
-                continue  # fall through rather than guess
-            budget.take()
-            stats.budget_spent += 1
-        cell, value, probability = candidates[0]  # maximum likelihood
+            continue  # fall through rather than guess
+        cell, value, probability = candidates[0]
         integer_cell = _is_integer_cell(working, cell)
         current = float(working.get_value(*cell))
         working.set_value(*cell, int(value) if integer_cell else value)
@@ -466,7 +370,6 @@ def _inversion_pass(
                 old_value=current,
                 new_value=value,
                 probability=probability,
-                ambiguous=ambiguous,
             )
         )
         stats.fixes += 1
@@ -952,7 +855,6 @@ def run_cascade(
     constraints: Sequence[AggregateConstraint],
     *,
     grounds: Optional[Sequence[GroundConstraint]] = None,
-    misrepair_budget: int = 0,
 ) -> PyTuple[Database, CascadeReport]:
     """Run tiers T1 and T3 over a working copy of *database*.
 
@@ -965,10 +867,6 @@ def run_cascade(
     constraints make it value-independent); omitted, the system is
     grounded here.
     """
-    if misrepair_budget < 0:
-        raise CascadeError(
-            f"misrepair_budget must be >= 0, got {misrepair_budget}"
-        )
     system = (
         list(grounds)
         if grounds is not None
@@ -976,13 +874,10 @@ def run_cascade(
     )
     working = database.copy()
     by_cell = _grounds_by_cell(system)
-    budget = _Budget(misrepair_budget)
     fixes: List[CascadeFix] = []
 
     initial_violated = [g for g in system if not g.holds(working)]
-    report = CascadeReport(
-        budget=misrepair_budget, n_violations=len(initial_violated)
-    )
+    report = CascadeReport(n_violations=len(initial_violated))
     t1 = TierStats(tier=TIER_INVERSION, attempted=len(initial_violated))
     t3 = TierStats(tier=TIER_GREEDY)
     report.tiers = [t1, t3]
@@ -997,9 +892,7 @@ def run_cascade(
     while True:
         before = open_rows()
         started = time.perf_counter()
-        progressed = _inversion_pass(
-            working, system, by_cell, budget, t1, fixes
-        )
+        progressed = _inversion_pass(working, system, by_cell, t1, fixes)
         t1.wall_time += time.perf_counter() - started
         t1.resolved += before - open_rows()
         if not progressed:
@@ -1019,6 +912,5 @@ def run_cascade(
     t3.fallthroughs = open_rows()
 
     report.fixes = fixes
-    report.budget_spent = budget.spent
     report.n_residual = open_rows()
     return working, report

@@ -70,31 +70,24 @@ def task_fingerprint(
     task: "RepairTask",  # noqa: F821 (circular-safe)
     *,
     strategy: str = "exact",
-    misrepair_budget: int = 0,
 ) -> str:
     """A stable content hash of everything that determines a task's result.
 
-    *strategy* / *misrepair_budget* are the batch-level defaults; the
-    task's own overrides win.  They are part of the identity because a
-    cascade repair and an exact repair of the same instance are
-    different results (different tier provenance, possibly different
-    -- though equally minimal -- update sets), so a journal written
-    under one must not replay for the other.
+    *strategy* is part of the identity because a cascade repair and an
+    exact repair of the same instance are different results (different
+    tier provenance, possibly different -- though equally minimal --
+    update sets), so a journal written under one must not replay for
+    the other.
     """
     digest = hashlib.sha256()
     digest.update(repr(task.name).encode("utf-8"))
     digest.update(repr(task.backend).encode("utf-8"))
     digest.update(repr(task.objective.value).encode("utf-8"))
-    effective_strategy = getattr(task, "strategy", None) or strategy
-    effective_budget = getattr(task, "misrepair_budget", None)
-    if effective_budget is None:
-        effective_budget = misrepair_budget
     # Hashed only when non-default so journals from before the cascade
-    # existed keep verifying.
-    if effective_strategy != "exact" or effective_budget != 0:
-        digest.update(
-            repr((effective_strategy, effective_budget)).encode("utf-8")
-        )
+    # existed keep verifying; the 0 keeps the bytes that existing
+    # cascade journals were fingerprinted with.
+    if strategy != "exact":
+        digest.update(repr((strategy, 0)).encode("utf-8"))
     digest.update(
         repr(sorted((task.pins or {}).items())).encode("utf-8")
     )
@@ -105,6 +98,24 @@ def task_fingerprint(
         digest.update(repr(constraint).encode("utf-8"))
     _hash_database(digest, task.database)
     return digest.hexdigest()
+
+
+def journal_worthy(result: "BatchItemResult", certify: bool) -> bool:  # noqa: F821
+    """May *result* be journalled?  Certification hygiene.
+
+    A journal is replayed verbatim on resume, so with *certify* on, an
+    uncertified or ladder-degraded result is never persisted: the
+    resumed run re-solves it instead of inheriting a suspect answer
+    (the same rule the solve cache applies to its disk tier).
+    """
+    return not (
+        certify
+        and (
+            result.status == "uncertified"
+            or result.certified is False
+            or any(s.degraded for s in result.stats)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +308,8 @@ class CheckpointJournal:
         ``load`` tolerates a torn tail, but only at end-of-file --
         appending new records *past* one would strand the garbage
         mid-file and make the journal unloadable after a second crash.
-        Every resume path must therefore call this before its first
-        append.
+        Every resume must therefore call this before its first append;
+        :meth:`start_run` does.
         """
         if not self.exists():
             return 0
@@ -310,6 +321,37 @@ class CheckpointJournal:
                 handle.flush()
                 os.fsync(handle.fileno())
         return loaded.truncated_bytes
+
+    def start_run(
+        self,
+        tasks: "List[RepairTask]",  # noqa: F821
+        fingerprints: List[str],
+        header_meta: Dict[str, Any],
+        *,
+        resume: bool = True,
+        require_certified: bool = False,
+    ) -> Dict[int, "BatchItemResult"]:  # noqa: F821
+        """Open the journal for a run; returns the results to replay.
+
+        With *resume* and an existing journal, the torn tail is cut off
+        and the fingerprint-verified results are loaded
+        (:meth:`load_completed`, checked against *header_meta*).
+        Otherwise any existing journal is discarded and a fresh header
+        carrying *header_meta* is written.
+        """
+        if resume and self.exists():
+            self.truncate_torn_tail()
+            completed, _ = self.load_completed(
+                tasks,
+                fingerprints,
+                expected_meta=header_meta,
+                require_certified=require_certified,
+            )
+            return completed
+        if self.exists():
+            self.path.unlink()
+        self.write_header(**header_meta)
+        return {}
 
     def load_completed(
         self,

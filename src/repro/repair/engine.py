@@ -66,11 +66,6 @@ from repro.repair.translation import (
 )
 from repro.repair.updates import AtomicUpdate, Repair, apply_repair
 
-#: The engine-level approximate backend: the greedy primal heuristic
-#: of :mod:`repro.repair.heuristic` instead of an exact MILP solve.
-#: Repairs it returns are verified but carry no minimality certificate.
-HEURISTIC_BACKEND = "heuristic"
-
 #: Exact backends whose search accepts an incumbent seed.
 _SEEDABLE_BACKENDS = frozenset({"bnb", "bnb-simplex"})
 
@@ -176,7 +171,6 @@ class RepairEngine:
         seed_incumbent: bool = True,
         on_infeasible: str = "raise",
         strategy: str = "exact",
-        misrepair_budget: int = 0,
         certify: bool = True,
     ) -> None:
         """``objective`` / ``weights`` select the minimality semantics
@@ -187,14 +181,11 @@ class RepairEngine:
         :class:`~repro.milp.solver.SolveStats` record to
         :attr:`solve_stats`.
 
-        ``backend`` additionally accepts ``"heuristic"``: the greedy
-        primal repair of :mod:`repro.repair.heuristic`, which returns a
-        verified but not necessarily card-minimal repair.  ``presolve``
-        and ``seed_incumbent`` steer the branch-and-bound backends
-        (``"bnb"`` / ``"bnb-simplex"``): the former toggles the MILP
-        presolve pass, the latter seeds the search with the heuristic's
-        repair as an initial incumbent.  Neither affects which repair
-        is optimal.
+        ``presolve`` and ``seed_incumbent`` steer the branch-and-bound
+        backends (``"bnb"`` / ``"bnb-simplex"``): the former toggles
+        the MILP presolve pass, the latter seeds the search with the
+        greedy repair of :mod:`repro.repair.heuristic` as an initial
+        incumbent.  Neither affects which repair is optimal.
 
         ``on_infeasible`` selects the degradation path once the MILP
         stays infeasible after every Big-M escalation: ``"raise"``
@@ -209,11 +200,8 @@ class RepairEngine:
         (:mod:`repro.repair.cascade`) before the MILP: confusion
         inversion and the certified residue search clear what they
         can prove, and only the residue reaches
-        the exact backend.  ``misrepair_budget`` bounds how many
-        ambiguous closed-form guesses the cascade may take (default 0:
-        fall through instead of guessing).  The cascade requires the
-        cardinality objective; pins bypass it straight to the exact
-        path.
+        the exact backend.  The cascade requires the cardinality
+        objective; pins bypass it straight to the exact path.
 
         ``certify`` (default True) makes every answer self-verifying:
         solver incumbents are replayed against the original MILP in
@@ -232,10 +220,6 @@ class RepairEngine:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {strategy!r}"
             )
-        if misrepair_budget < 0:
-            raise CascadeError(
-                f"misrepair_budget must be >= 0, got {misrepair_budget}"
-            )
         if strategy == "cascade" and objective is not RepairObjective.CARDINALITY:
             raise CascadeError(
                 "strategy='cascade' certifies card-minimality only; use "
@@ -243,7 +227,6 @@ class RepairEngine:
             )
         self.on_infeasible = on_infeasible
         self.strategy = strategy
-        self.misrepair_budget = int(misrepair_budget)
         self.certify = bool(certify)
         self.database = database
         self.constraints = list(constraints)
@@ -256,19 +239,6 @@ class RepairEngine:
         self.max_escalations = max_escalations
         self.objective = objective
         self.weights = dict(weights) if weights else None
-        #: Folded into every solve-cache key (see
-        #: :meth:`~repro.milp.cache.SolveCache.key_for`): a cascade
-        #: residue solves a *mutated* working copy under different
-        #: semantics, so its entries must never be served for a plain
-        #: exact request -- and vice versa.
-        self._cache_semantics: Optional[Dict[str, object]] = (
-            None
-            if strategy == "exact"
-            else {
-                "strategy": strategy,
-                "misrepair_budget": self.misrepair_budget,
-            }
-        )
         for constraint in self.constraints:
             constraint.validate(database.schema)
             if not constraint.is_steady(database.schema):
@@ -357,24 +327,9 @@ class RepairEngine:
                 self.backend,
                 f", {len(translation.pins)} pin(s)" if translation.pins else "",
             )
-            if self.backend == HEURISTIC_BACKEND:
-                try:
-                    solution, stats = self._solve_heuristic(translation, deadline)
-                except UnrepairableError:
-                    # The greedy heuristic proves nothing about
-                    # infeasibility, but the configured degradation
-                    # path still applies: relaxation subsumes the miss
-                    # (a feasible instance relaxes to zero violations)
-                    # and explanation distinguishes the two cases.
-                    if self.on_infeasible == "raise":
-                        raise
-                    return self._conclude_infeasible(
-                        translation, pins, deadline, stats_start, escalations
-                    )
-            else:
-                solution, stats = self._solve_exact(
-                    translation, solver_options, deadline
-                )
+            solution, stats = self._solve_exact(
+                translation, solver_options, deadline
+            )
             self.solve_stats.append(stats)
             if solution.status is SolveStatus.INFEASIBLE:
                 logger.info(
@@ -491,7 +446,6 @@ class RepairEngine:
             self.database,
             self.constraints,
             grounds=self.ground_system,
-            misrepair_budget=self.misrepair_budget,
         )
         for tier_stats in report.tiers:
             self.solve_stats.append(
@@ -532,10 +486,6 @@ class RepairEngine:
             # independent, so the system grounded on the original
             # instance is exactly S(AC) for the working copy too.
             child._grounding._system = list(self.ground_system)
-            # The residue is solved *under cascade semantics*: its
-            # cache entries must never be served for a plain exact
-            # request (and vice versa).
-            child._cache_semantics = dict(self._cache_semantics or {})
             outcome = child.find_card_minimal_repair(
                 time_limit=(
                     deadline.remaining()
@@ -613,12 +563,6 @@ class RepairEngine:
     # Infeasibility forensics
     # ------------------------------------------------------------------
 
-    def _forensics_backend(self) -> str:
-        """The exact backend used for IIS probes and relaxation solves."""
-        if self.backend in ("scipy", "bnb", "bnb-simplex"):
-            return self.backend
-        return DEFAULT_BACKEND
-
     def _base_message(self, translation: MILPTranslation, escalations: int,
                       pins) -> str:
         return (
@@ -640,13 +584,13 @@ class RepairEngine:
         started = time.perf_counter()
         iis = extract_iis(
             translation.model,
-            backend=self._forensics_backend(),
+            backend=self.backend,
             deadline=deadline,
             groups=[translation.structural_rows()],
         )
         self.solve_stats.append(
             SolveStats(
-                backend=self._forensics_backend(),
+                backend=self.backend,
                 status="infeasible",
                 wall_time=time.perf_counter() - started,
                 nodes=iis.probes,
@@ -670,7 +614,7 @@ class RepairEngine:
         if self.on_infeasible == "relax":
             outcome = relax_infeasible(
                 translation,
-                backend=self._forensics_backend(),
+                backend=self.backend,
                 deadline=deadline,
             )
             self.solve_stats.extend(outcome.report.stats)
@@ -696,13 +640,14 @@ class RepairEngine:
             try:
                 report = self._conflict_report(translation, deadline)
             except IISError as error:
-                # Only reachable when the infeasibility verdict came
-                # from the approximate heuristic but the instance is
-                # actually feasible.
+                # The backend answered INFEASIBLE, yet the IIS probes
+                # found the model feasible: the two verdicts disagree,
+                # so neither a conflict nor a repair can be trusted.
                 raise UnrepairableError(
                     f"{message} -- but conflict extraction found the "
-                    f"instance feasible ({error}); the heuristic missed "
-                    f"a repair, retry an exact backend"
+                    f"instance feasible ({error}); the solver's "
+                    f"infeasibility verdict is suspect, retry another "
+                    f"backend"
                 ) from error
             error = UnrepairableError(
                 f"{message}; {report.summary()}",
@@ -763,47 +708,6 @@ class RepairEngine:
             )
         return self._conflict_report(translation, deadline)
 
-    def _solve_heuristic(
-        self, translation: MILPTranslation, deadline: Optional[Deadline] = None
-    ):
-        """Run the greedy primal heuristic as the solve step.
-
-        The returned solution is stamped OPTIMAL so the shared
-        extraction/verification path accepts it; the point is verified
-        feasible by the heuristic itself (and re-verified against the
-        constraints by the caller), but its cardinality carries no
-        minimality certificate.
-        """
-        started = time.perf_counter()
-        result = greedy_repair(translation, deadline=deadline)
-        elapsed = time.perf_counter() - started
-        if result is None:
-            raise UnrepairableError(
-                "the greedy repair heuristic found no repair; the "
-                "heuristic is approximate -- retry with an exact backend "
-                "('scipy', 'bnb', 'bnb-simplex') before concluding the "
-                "instance is unrepairable"
-            )
-        solution = Solution(
-            SolveStatus.OPTIMAL,
-            objective=result.objective,
-            values=translation.model.solution_values(result.assignment),
-            stats={
-                "nodes": 0.0,
-                "lp_iterations": 0.0,
-                "heuristic_iterations": float(result.iterations),
-            },
-        )
-        stats = SolveStats(
-            backend=HEURISTIC_BACKEND,
-            status="optimal",
-            wall_time=elapsed,
-            n_variables=translation.model.n_variables,
-            n_constraints=translation.model.n_constraints,
-            objective=result.objective,
-        )
-        return solution, stats
-
     def _solve_exact(
         self,
         translation: MILPTranslation,
@@ -828,7 +732,6 @@ class RepairEngine:
             translation.model,
             backend=self.backend,
             cache=self.solve_cache,
-            cache_semantics=self._cache_semantics,
             certify=self.certify,
             **options,
         )

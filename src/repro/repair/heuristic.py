@@ -12,14 +12,14 @@ so it terminates.
 
 The result is **verified**: the assembled full assignment (z, y, and
 the delta/t variables) must pass ``model.check_feasible`` or the
-heuristic reports failure.  Two uses:
+heuristic reports failure.  Two uses, neither of which hands its
+answer back unproven:
 
-- as a standalone approximate backend (``backend="heuristic"`` on the
-  repair engine) when a feasible repair now beats a minimal repair
-  later;
 - as an **incumbent seed** for the branch-and-bound backends: a
   feasible point with objective ``k`` lets the search prune every node
-  whose bound reaches ``k`` from the very first node.
+  whose bound reaches ``k`` from the very first node;
+- as the cascade's T3 candidate (:mod:`repro.repair.cascade`), accepted
+  only when its cardinality equals a proven lower bound.
 
 Unlike the evaluation baseline
 :func:`repro.repair.baselines.greedy_local_repair` (which walks the

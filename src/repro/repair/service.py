@@ -70,7 +70,11 @@ from repro.repair.batch import (
     execute_task,
     respawn_delay,
 )
-from repro.repair.checkpoint import CheckpointJournal, task_fingerprint
+from repro.repair.checkpoint import (
+    CheckpointJournal,
+    journal_worthy,
+    task_fingerprint,
+)
 from repro.repair.store import ResultStore, StoreIntegrityReport
 
 #: Result statuses that count as the *backend's* fault for breaker
@@ -87,6 +91,10 @@ DEFAULT_BREAKER_THRESHOLD = 3
 
 #: Default seconds an open breaker waits before a half-open probe.
 DEFAULT_BREAKER_COOLDOWN = 30.0
+
+#: Intake latencies kept for the health percentiles: the latest tickets
+#: only, so a long-running service holds a bounded window.
+INTAKE_WINDOW = 1024
 
 
 class CircuitBreaker:
@@ -178,7 +186,6 @@ class ServiceConfig:
     cache_size: int = DEFAULT_CACHE_SIZE
     on_infeasible: str = "raise"
     strategy: str = "exact"
-    misrepair_budget: int = 0
     certify: bool = True
     #: Intake queue high watermark; ``submit`` above it is refused.
     max_pending: int = DEFAULT_MAX_PENDING
@@ -222,7 +229,7 @@ class RepairService:
         self._queue: Deque[_Ticket] = deque()
         self._next_index = 0
         self._results: Dict[int, BatchItemResult] = {}
-        self._intake_latencies: List[float] = []
+        self._intake_latencies: Deque[float] = deque(maxlen=INTAKE_WINDOW)
         self._draining = False
         self._started = time.perf_counter()
         self._journal: Optional[CheckpointJournal] = (
@@ -400,7 +407,6 @@ class RepairService:
                         cache=self.cache,
                         on_infeasible=cfg.on_infeasible,
                         strategy=cfg.strategy,
-                        misrepair_budget=cfg.misrepair_budget,
                         certify=cfg.certify,
                     )
                     result.attempts = crashes + 1
@@ -451,25 +457,15 @@ class RepairService:
             "timeout": self.config.timeout,
             "on_infeasible": self.config.on_infeasible,
             "strategy": self.config.strategy,
-            "misrepair_budget": self.config.misrepair_budget,
             "certify": self.config.certify,
         }
 
     def _deliver(self, result: BatchItemResult, task: RepairTask) -> None:
-        # Same certification hygiene as repair_batch: uncertified or
-        # ladder-degraded answers are never journalled, so a restart
-        # re-solves them instead of inheriting them.
-        journal_worthy = not (
-            self.config.certify
-            and (
-                result.status == "uncertified"
-                or result.certified is False
-                or any(s.degraded for s in result.stats)
-            )
-        )
-        if self._journal is not None and journal_worthy and result.status not in (
-            "breaker_open",
-            "overloaded",
+        # Refusals are not results: a restart must retry them.
+        if (
+            self._journal is not None
+            and journal_worthy(result, self.config.certify)
+            and result.status not in ("breaker_open", "overloaded")
         ):
             if not self._journal.exists():
                 # Streaming intake reaches here without run() ever
@@ -480,9 +476,7 @@ class RepairService:
             fingerprint = self._fingerprints.get(result.index)
             if fingerprint is None:
                 fingerprint = task_fingerprint(
-                    task,
-                    strategy=self.config.strategy,
-                    misrepair_budget=self.config.misrepair_budget,
+                    task, strategy=self.config.strategy
                 )
             self._journal.append_result(result, fingerprint)
         self._results[result.index] = result
@@ -506,29 +500,20 @@ class RepairService:
         started = time.perf_counter()
         header_meta = {"n_tasks": len(task_list), **self._config_header_meta()}
         fingerprints = [
-            task_fingerprint(
-                task,
-                strategy=self.config.strategy,
-                misrepair_budget=self.config.misrepair_budget,
-            )
+            task_fingerprint(task, strategy=self.config.strategy)
             for task in task_list
         ]
         self._fingerprints = dict(enumerate(fingerprints))
-        replayed: Dict[int, BatchItemResult] = {}
         if self._journal is not None:
-            if self._journal.exists() and resume:
-                self._journal.truncate_torn_tail()
-                replayed, _ = self._journal.load_completed(
+            self._results.update(
+                self._journal.start_run(
                     task_list,
                     fingerprints,
-                    expected_meta=header_meta,
+                    header_meta,
+                    resume=resume,
                     require_certified=self.config.certify,
                 )
-            else:
-                if self._journal.exists():
-                    self._journal.path.unlink()
-                self._journal.write_header(**header_meta)
-        self._results.update(replayed)
+            )
         for index, task in enumerate(task_list):
             if index in self._results:
                 continue
@@ -567,7 +552,8 @@ class RepairService:
     # -- observability -----------------------------------------------------
 
     def intake_latency(self, quantile: float) -> float:
-        """The *quantile* (0..1) of observed intake latencies, seconds."""
+        """The *quantile* (0..1) of the latest :data:`INTAKE_WINDOW`
+        intake latencies, seconds."""
         if not self._intake_latencies:
             return 0.0
         ordered = sorted(self._intake_latencies)

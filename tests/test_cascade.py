@@ -2,24 +2,28 @@
 
 Three layers:
 
-- **unit**: violation classification, hitting-set search, budget
-  semantics and tier accounting on hand-built instances where the
-  right answer is known by construction;
+- **unit**: hitting-set search, ambiguity fall-through and tier
+  accounting on hand-built instances where the right answer is known
+  by construction;
 - **metamorphic**: inject OCR errors with the real channel, run the
-  cascade, and check the round-trip identity -- every closed-form
-  (T1/T2) fix must restore the injected source value exactly
-  (``misrepair_rate == 0`` at the default budget), across seeds;
+  cascade, and check the round-trip identity -- every closed-form (T1)
+  fix must restore the injected source value exactly
+  (``misrepair_rate == 0``), across seeds;
 - **integration**: the engine's ``strategy="cascade"`` produces a
-  consistent database, stamps per-tier SolveStats, and keeps its cache
-  entries separate from exact solves.
+  consistent database and stamps per-tier SolveStats, and the cache
+  keys and checkpoint fingerprints of existing stores and journals
+  stay valid.
 """
 
 import pytest
 
 from repro.acquisition.ocr import inject_value_errors, number_preimages
-from repro.constraints.grounding import ground_constraints
 from repro.constraints.parser import parse_constraints
-from repro.datasets import generate_cash_budget
+from repro.datasets import (
+    cash_budget_constraints,
+    generate_cash_budget,
+    paper_acquired_instance,
+)
 from repro.evalkit.metrics import misrepair_rate, misrepair_report
 from repro.milp.cache import SolveCache
 from repro.relational.database import Database
@@ -31,8 +35,6 @@ from repro.repair.cascade import (
     TIER_INVERSION,
     TIERS,
     CascadeError,
-    ViolationClass,
-    classify_violations,
     hitting_sets_of_size,
     minimum_hitting_sets,
     run_cascade,
@@ -67,24 +69,6 @@ def two_cell_instance(a=5, b=2):
     database.insert("R", ["b", b])
     _, constraints = parse_constraints(AMBIGUOUS_DSL)
     return database, constraints
-
-
-class TestClassification:
-    def test_running_example_routes_to_confusion(self, acquired, constraints):
-        grounds = ground_constraints(constraints, acquired, require_steady=True)
-        classified = classify_violations(grounds, acquired)
-        assert classified, "Figure 3 instance must have violations"
-        assert all(
-            klass is ViolationClass.CONFUSION for _, klass in classified
-        ), "every violated row touches a cell with OCR pre-images"
-
-    def test_consistent_instance_classifies_nothing(
-        self, ground_truth, constraints
-    ):
-        grounds = ground_constraints(
-            constraints, ground_truth, require_steady=True
-        )
-        assert classify_violations(grounds, ground_truth) == []
 
 
 class TestHittingSets:
@@ -122,40 +106,20 @@ class TestHittingSets:
 class TestBudgetSemantics:
     def test_zero_budget_falls_through_on_ambiguity(self):
         database, constraints = two_cell_instance()
-        repaired, report = run_cascade(
-            database, constraints, misrepair_budget=0
-        )
+        repaired, report = run_cascade(database, constraints)
         t1 = report.tier(TIER_INVERSION)
         assert t1.ambiguous >= 1 and t1.resolved == 0
-        assert report.budget_spent == 0
         assert not report.closed_form_fixes()
         # The certified greedy tier still clears it without the MILP:
         # the minimum hitting number is 1 and a 1-cell fix exists.
         assert report.tier(TIER_GREEDY).resolved == 1
         assert report.n_residual == 0
 
-    def test_budget_buys_the_ambiguous_fix(self):
-        database, constraints = two_cell_instance()
-        repaired, report = run_cascade(
-            database, constraints, misrepair_budget=1
-        )
-        assert report.budget_spent == 1
-        fixes = report.closed_form_fixes()
-        assert len(fixes) == 1
-        assert fixes[0].tier == TIER_INVERSION
-        assert fixes[0].ambiguous
-        assert report.tier(TIER_GREEDY).resolved == 0
-        assert report.n_residual == 0
-
-    def test_negative_budget_rejected(self):
-        database, constraints = two_cell_instance()
-        with pytest.raises(CascadeError):
-            run_cascade(database, constraints, misrepair_budget=-1)
-
     def test_original_database_never_mutated(self):
         database, constraints = two_cell_instance()
         before = database.copy()
-        run_cascade(database, constraints, misrepair_budget=1)
+        _, report = run_cascade(database, constraints)
+        assert report.fixes, "the working copy must have been changed"
         assert database == before
 
     def test_consistent_input_is_a_noop(self, ground_truth, constraints):
@@ -182,12 +146,11 @@ class TestTierAccounting:
 
     def test_report_round_trips_to_dict(self):
         database, constraints = two_cell_instance()
-        _, report = run_cascade(database, constraints, misrepair_budget=1)
+        _, report = run_cascade(database, constraints)
         payload = report.as_dict()
         assert payload["milp_invoked"] is False
-        assert payload["budget_spent"] == 1
         assert [t["tier"] for t in payload["tiers"]] == list(TIERS[:-1])
-        assert payload["fixes"][0]["tier"] == TIER_INVERSION
+        assert payload["fixes"][0]["tier"] == TIER_GREEDY
 
 
 class TestMetamorphicRoundTrip:
@@ -335,33 +298,43 @@ class TestBatchIntegration:
         )
         exact = task_fingerprint(task)
         cascade = task_fingerprint(task, strategy="cascade")
-        budgeted = task_fingerprint(
-            task, strategy="cascade", misrepair_budget=1
-        )
-        assert exact != cascade != budgeted
+        assert exact != cascade
         # Pre-cascade journals: the default strategy hashes identically
         # to fingerprints taken before the strategy parameter existed.
         assert exact == task_fingerprint(task, strategy="exact")
 
+    def test_existing_journals_keep_their_fingerprints(self):
+        """Fingerprints recorded by journals already on disk."""
+        from repro.repair.batch import RepairTask
+        from repro.repair.checkpoint import task_fingerprint
+
+        task = RepairTask(
+            database=paper_acquired_instance(),
+            constraints=cash_budget_constraints(),
+            name="fig3",
+        )
+        assert task_fingerprint(task, strategy="cascade") == (
+            "513b5edd7817725d525a7bbc2045ea9d448249e056648373c5ea06a9e93e5e2e"
+        )
+        assert task_fingerprint(task) == (
+            "14299d5e293ad6b39d4ce30d03a600111f6374e6d9d6cf1d964ad1019edc5ff9"
+        )
+
 
 class TestCacheKeySeparation:
-    def test_semantics_change_the_key(self, acquired, constraints):
-        model = translate(acquired, constraints).model
-        plain = SolveCache.key_for(model, "scipy", {})
-        cascade = SolveCache.key_for(
-            model, "scipy", {}, {"strategy": "cascade", "misrepair_budget": 0}
-        )
-        budget = SolveCache.key_for(
-            model, "scipy", {}, {"strategy": "cascade", "misrepair_budget": 2}
-        )
-        assert plain != cascade
-        assert cascade != budget
-
     def test_performance_options_still_filtered(self, acquired, constraints):
         model = translate(acquired, constraints).model
-        semantics = {"strategy": "cascade", "misrepair_budget": 0}
-        with_perf = SolveCache.key_for(
-            model, "scipy", {"time_limit": 5.0}, semantics
-        )
-        without = SolveCache.key_for(model, "scipy", {}, semantics)
+        with_perf = SolveCache.key_for(model, "scipy", {"time_limit": 5.0})
+        without = SolveCache.key_for(model, "scipy", {})
         assert with_perf == without
+
+    def test_existing_store_keys_are_unchanged(self):
+        """Exact-path rows already in a durable store keep serving."""
+        model = translate(
+            paper_acquired_instance(), cash_budget_constraints()
+        ).model
+        assert SolveCache.key_for(model, "bnb", {"max_nodes": 10}) == (
+            "bnb",
+            "([('max_nodes', 10)], [])",
+            "81082079736400a55b235983878b687781aaf2a0f675f0644379d391d63e8a8c",
+        )

@@ -491,7 +491,7 @@ class TestCacheHygiene:
     def test_poisoned_cache_hit_is_resolved_fresh(self):
         cache = SolveCache()
         model = small_milp()
-        key = SolveCache.key_for(model, "bnb", {}, None)
+        key = SolveCache.key_for(model, "bnb", {})
         cache.put(key, _corrupt_backend(model))
         solution, stats = solve_with_stats(
             model, backend="bnb", cache=cache, certify=True

@@ -21,6 +21,7 @@ from repro.repair.batch import BatchItemResult, RepairTask, repair_batch
 from repro.repair.checkpoint import (
     CheckpointError,
     CheckpointJournal,
+    journal_worthy,
     record_to_result,
     result_to_record,
     task_fingerprint,
@@ -300,3 +301,125 @@ def test_streaming_header_skips_unrecorded_meta(tmp_path, workload):
             [task], [fingerprint],
             expected_meta={"n_tasks": 1, "backend": "bnb"},
         )
+
+
+#: One journaled stats entry, byte for byte as journals already on disk
+#: hold it: every field set, in field order.
+JOURNALED_STATS_ENTRY = (
+    '{"backend":"bnb","status":"optimal","wall_time":0.25,"nodes":3,'
+    '"simplex_pivots":17,"cache_hit":true,"fallback":true,"n_variables":12,'
+    '"n_constraints":9,"objective":2.0,"presolve_reductions":4,'
+    '"warm_start_hits":5,"warm_start_fallbacks":1,"heuristic_seeded":true,'
+    '"heuristic_gap":1.0,"gap":0.0,"best_bound":2.0,"phase":"iis",'
+    '"tier":"t4-exact","tier_hits":2,"tier_fallthroughs":1,'
+    '"phase_times":{"phase_search":0.5,"phase_lowering":0.125},'
+    '"cuts_gomory":0,"cuts_cover":0,"node_cuts":0,"refactorizations":2,'
+    '"certified":true,"certification":"milp","certification_failures":1,'
+    '"ladder_steps":["as-requested","pricing:bland"],"degraded":true,'
+    '"bland_fallbacks":1,"numeric_drift":1e-09}'
+)
+
+
+def test_journaled_stats_entry_bytes_are_stable(tmp_path):
+    stats = SolveStats(
+        backend="bnb", status="optimal", wall_time=0.25, nodes=3,
+        simplex_pivots=17, cache_hit=True, fallback=True, n_variables=12,
+        n_constraints=9, objective=2.0, presolve_reductions=4,
+        warm_start_hits=5, warm_start_fallbacks=1, heuristic_seeded=True,
+        heuristic_gap=1.0, gap=0.0, best_bound=2.0, phase="iis",
+        tier="t4-exact", tier_hits=2, tier_fallthroughs=1,
+        phase_times={"phase_search": 0.5, "phase_lowering": 0.125},
+        refactorizations=2, certified=True, certification="milp",
+        certification_failures=1,
+        ladder_steps=["as-requested", "pricing:bland"], degraded=True,
+        bland_fallbacks=1, numeric_drift=1e-09,
+    )
+    journal = CheckpointJournal(tmp_path / "j.jsonl")
+    journal.write_header(n_tasks=1)
+    journal.append_result(
+        BatchItemResult(index=0, name="doc", status="repaired", stats=[stats]),
+        "fp",
+    )
+    line = journal.path.read_text(encoding="utf-8").splitlines()[1]
+    assert '"stats":[' + JOURNALED_STATS_ENTRY + "]" in line
+    [revived] = record_to_result(json.loads(line)).stats
+    assert revived == stats
+
+
+def test_start_run_cuts_the_torn_tail_then_replays(tmp_path, workload):
+    task = make_task(workload, derived_seeds(1)[0], name="t0")
+    fingerprint = task_fingerprint(task)
+    journal = CheckpointJournal(tmp_path / "j.jsonl")
+    journal.write_header(n_tasks=1)
+    result = sample_result()
+    result.index = 0
+    journal.append_result(result, fingerprint)
+    with open(journal.path, "ab") as handle:
+        handle.write(b'{"kind":"result","ind')
+    replayed = journal.start_run([task], [fingerprint], {"n_tasks": 1})
+    assert set(replayed) == {0} and replayed[0].resumed
+    # The torn bytes are gone, so the next append lands on a clean line.
+    assert journal.path.read_bytes().endswith(b"}\n")
+
+
+def test_start_run_without_resume_starts_over(tmp_path, workload):
+    task = make_task(workload, derived_seeds(1)[0], name="t0")
+    fingerprint = task_fingerprint(task)
+    journal = CheckpointJournal(tmp_path / "j.jsonl")
+    journal.write_header(n_tasks=1)
+    journal.append_result(sample_result(), fingerprint)
+    replayed = journal.start_run(
+        [task], [fingerprint], {"n_tasks": 1}, resume=False
+    )
+    assert replayed == {}
+    lines = journal.path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["kind"] for line in lines] == ["header"]
+
+
+def test_journal_worthy_keeps_suspect_answers_out():
+    certified = sample_result()
+    certified.certified = True
+    assert journal_worthy(certified, certify=True)
+    rejected = sample_result()
+    rejected.certified = False
+    assert not journal_worthy(rejected, certify=True)
+    degraded = sample_result()
+    degraded.stats[0].degraded = True
+    assert not journal_worthy(degraded, certify=True)
+    uncertified = BatchItemResult(index=0, name="u", status="uncertified")
+    assert not journal_worthy(uncertified, certify=True)
+    # With certification off there is no verdict to gate on.
+    assert journal_worthy(rejected, certify=False)
+    assert journal_worthy(degraded, certify=False)
+
+
+def test_cascade_journal_with_a_budget_header_still_resumes(
+    tmp_path, workload, monkeypatch
+):
+    # Journals written while the cascade had a mis-repair budget carry
+    # ``"misrepair_budget": 0`` in their header.  The key is no longer
+    # checked, and the fingerprints still match.
+    seeds = derived_seeds(2)
+    tasks = [make_task(workload, s, name=f"t{i}") for i, s in enumerate(seeds)]
+    checkpoint = tmp_path / "batch.jsonl"
+    repair_batch(
+        tasks, workers=None, checkpoint=str(checkpoint), strategy="cascade"
+    )
+    records = [
+        json.loads(line)
+        for line in checkpoint.read_text(encoding="utf-8").splitlines()
+    ]
+    records[0]["misrepair_budget"] = 0
+    checkpoint.write_text(
+        "".join(json.dumps(record) + "\n" for record in records),
+        encoding="utf-8",
+    )
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("resume re-solved a journaled task")
+
+    monkeypatch.setattr(batch_module, "execute_task", no_solve)
+    resumed = repair_batch(
+        tasks, workers=None, checkpoint=str(checkpoint), strategy="cascade"
+    )
+    assert resumed.n_resumed == len(tasks)

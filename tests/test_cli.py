@@ -86,14 +86,6 @@ class TestRepair:
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(1.0)
 
-    def test_heuristic_backend(self, project, capsys):
-        assert main(
-            ["repair", str(project), "--backend", "heuristic", "--stats"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "250 -> 220" in out
-        assert "heuristic: optimal" in out
-
     def test_no_presolve_escape_hatch(self, project, capsys):
         assert main(
             ["repair", str(project), "--backend", "bnb", "--no-presolve"]

@@ -109,7 +109,7 @@ class TestMisrepairRate:
     def report(fixes):
         from repro.repair.cascade import CascadeReport
 
-        return CascadeReport(budget=0, fixes=list(fixes))
+        return CascadeReport(fixes=list(fixes))
 
     def test_truthful_fix_scores_zero(self):
         cell = ("CashBudget", 0, "Value")

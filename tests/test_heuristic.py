@@ -10,11 +10,7 @@ from repro.datasets import (
     generate_cash_budget,
     paper_acquired_instance,
 )
-from repro.repair.engine import (
-    HEURISTIC_BACKEND,
-    RepairEngine,
-    UnrepairableError,
-)
+from repro.repair.engine import RepairEngine
 from repro.repair.heuristic import greedy_repair
 from repro.repair.translation import translate
 
@@ -80,35 +76,6 @@ class TestGreedyRepair:
             return
         i = translation.index_of(cell)
         assert result.z_values[i] == pytest.approx(pinned_value)
-
-
-class TestHeuristicBackend:
-    def test_paper_running_example(self):
-        engine = RepairEngine(
-            paper_acquired_instance(),
-            cash_budget_constraints(),
-            backend=HEURISTIC_BACKEND,
-        )
-        outcome = engine.find_card_minimal_repair()
-        assert engine.is_repair(outcome.repair)
-        assert outcome.cardinality >= 1
-        assert engine.solve_stats[-1].backend == HEURISTIC_BACKEND
-
-    @pytest.mark.parametrize("seed", SEEDS, ids=[f"seed{s}" for s in SEEDS])
-    def test_repairs_are_verified_and_never_smaller_than_optimal(self, seed):
-        workload, corrupted, _ = _corrupted(seed)
-        exact = RepairEngine(
-            corrupted, workload.constraints, backend="bnb"
-        ).find_card_minimal_repair()
-        engine = RepairEngine(
-            corrupted, workload.constraints, backend=HEURISTIC_BACKEND
-        )
-        try:
-            outcome = engine.find_card_minimal_repair()
-        except UnrepairableError:
-            return  # approximate: allowed to give up, never to lie
-        assert engine.is_repair(outcome.repair), describe_seed(seed)
-        assert outcome.cardinality >= exact.cardinality, describe_seed(seed)
 
 
 class TestIncumbentSeeding:

@@ -2,22 +2,25 @@
 
 ``perfbench/tracing.py`` wraps entry points of the program from outside
 and reads :class:`~repro.milp.solver.SolveStats` fields off every
-solve.  A change that renames or deletes any of them leaves the
-benchmark unable to run, so these tests pin that surface: every entry
-point resolves, the tracer puts every original back, and a real solve's
-stats carry every field the solve counter reads.  The tests only read
-``perfbench/``.
+solve; its workloads build the program's objects with the constructors
+and options they name.  A change that renames or deletes any of them
+leaves the benchmark unable to run, so these tests pin that surface:
+every entry point resolves, the tracer puts every original back, a real
+solve's stats carry every field the solve counter reads, and every
+workload sets up and answers two items correctly at its tiny size.  The
+tests only read ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 import inspect
 
 import pytest
 
-from perfbench import tracing
+from perfbench import harness, tracing
 from repro.milp.model import MILPModel, VarType
 from repro.milp.solver import SolveStats, solve_with_stats
 
@@ -81,3 +84,17 @@ def test_solve_stats_has_every_field_the_solve_counter_reads():
     counts = tracing._solve((solution, stats), ())
     assert counts["nodes"] == stats.nodes > 1
     assert counts["cuts"] == 0
+
+
+@pytest.mark.parametrize("name", harness.WORKLOADS)
+def test_workload_runs_two_items_correctly(name, tmp_path):
+    workload = importlib.import_module(f"perfbench.{name}").Workload(
+        1, tmp_path, tiny=True
+    )
+    try:
+        records = [workload.run_item(index) for index in range(2)]
+        verdicts, problems = workload.check(records)
+    finally:
+        workload.close()
+    assert verdicts == [harness.OK, harness.OK]
+    assert problems == []

@@ -17,13 +17,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.datasets import cash_budget_constraints, paper_acquired_instance
 from repro.diagnostics import OverloadedError
 from repro.faultinject import FaultConfig
-from repro.repair.batch import RepairTask
+from repro.repair import service as service_module
+from repro.repair.batch import BatchItemResult, RepairTask
 from repro.repair.checkpoint import CheckpointJournal, task_fingerprint
 from repro.repair.service import (
     BACKEND_FAULT_STATUSES,
@@ -144,6 +146,33 @@ def test_submitted_work_completes_with_results(tmp_path):
             result = service.result(ticket)
             assert result is not None and result.status == "repaired"
         assert service.intake_latency(0.5) > 0.0
+
+
+def test_intake_percentiles_cover_the_latest_window(monkeypatch):
+    # Twelve tickets submitted at t=0 and served one per second wait
+    # 0, 1, ..., 11 s; a window of 8 keeps only the waits 4..11.
+    clock = _Clock()
+    monkeypatch.setattr(service_module, "INTAKE_WINDOW", 8)
+    monkeypatch.setattr(
+        service_module,
+        "time",
+        SimpleNamespace(
+            perf_counter=clock, monotonic=time.monotonic, sleep=time.sleep
+        ),
+    )
+
+    def serve_in_one_second(self, task, index):
+        clock.now += 1.0
+        return BatchItemResult(index=index, name=task.name, status="consistent")
+
+    monkeypatch.setattr(RepairService, "_execute", serve_in_one_second)
+    with RepairService(ServiceConfig()) as service:
+        for task in _tasks(12):
+            service.submit(task)
+        assert service.process_pending() == 12
+        assert service.intake_latency(0.0) == 4.0
+        assert service.intake_latency(1.0) == 11.0
+        assert service.health()["intake_p50"] == 8.0
 
 
 # ---------------------------------------------------------------------------
