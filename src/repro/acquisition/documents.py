@@ -96,36 +96,36 @@ class Table:
         """
         grid: List[List[Optional[str]]] = []
         occupied: List[List[bool]] = []
-
-        def ensure_size(n_rows: int, n_columns: int) -> None:
-            while len(grid) < n_rows:
+        for row_index, row in enumerate(self.rows):
+            if len(grid) == row_index:
                 grid.append([])
                 occupied.append([])
-            for row_cells, row_flags in zip(grid, occupied):
-                while len(row_cells) < n_columns:
-                    row_cells.append(None)
-                    row_flags.append(False)
-
-        for row_index, row in enumerate(self.rows):
-            ensure_size(row_index + 1, len(grid[0]) if grid else 0)
+            flags = occupied[row_index]
             column = 0
             for cell in row:
-                # Find the first free column in this row.
-                while True:
-                    ensure_size(row_index + 1, column + 1)
-                    if not occupied[row_index][column]:
-                        break
+                # The first free column in this row; past its end is free.
+                while column < len(flags) and flags[column]:
                     column += 1
-                ensure_size(row_index + cell.rowspan, column + cell.colspan)
-                for r in range(row_index, row_index + cell.rowspan):
-                    for c in range(column, column + cell.colspan):
-                        if occupied[r][c]:
+                end_row = row_index + cell.rowspan
+                end_column = column + cell.colspan
+                while len(grid) < end_row:
+                    grid.append([])
+                    occupied.append([])
+                # Only the rows this span covers are padded and marked.
+                for r in range(row_index, end_row):
+                    row_cells, row_flags = grid[r], occupied[r]
+                    missing = end_column - len(row_cells)
+                    if missing > 0:
+                        row_cells.extend([None] * missing)
+                        row_flags.extend([False] * missing)
+                    for c in range(column, end_column):
+                        if row_flags[c]:
                             raise TableStructureError(
                                 f"cell spans overlap at grid position ({r}, {c})"
                             )
-                        occupied[r][c] = True
-                        grid[r][c] = cell.text
-                column += cell.colspan
+                        row_flags[c] = True
+                        row_cells[c] = cell.text
+                column = end_column
         # Pad all rows to the final width.
         width = max((len(r) for r in grid), default=0)
         for row_cells, row_flags in zip(grid, occupied):

@@ -118,13 +118,20 @@ class _TableHtmlParser(HTMLParser):
         self._flush_table()
 
 
+#: The HTML table processing model's caps on span attributes: a larger
+#: value from the page counts as the cap, so one ``colspan="1000000000"``
+#: cannot make the logical grid allocate a billion slots.
+_SPAN_LIMITS = {"rowspan": 65534, "colspan": 1000}
+
+
 def _span_attr(attrs, name: str) -> int:
     for attr_name, attr_value in attrs:
         if attr_name.lower() == name and attr_value:
             try:
-                return max(1, int(attr_value.strip()))
+                value = int(attr_value.strip())
             except ValueError:
                 return 1
+            return min(max(1, value), _SPAN_LIMITS[name])
     return 1
 
 

@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from repro.acquisition.documents import Table
 from repro.wrapping.html import parse_html_tables
-from repro.wrapping.matching import TNorm, most_similar_item, similarity
-from repro.wrapping.metadata import ExtractionMetadata
+from repro.wrapping.matching import TNorm, most_similar_item
+from repro.wrapping.metadata import DomainDescription, ExtractionMetadata
 from repro.wrapping.patterns import LexicalCell, RowPattern, StandardCell, StandardDomain
 
 
@@ -106,6 +106,12 @@ class Wrapper:
     ) -> None:
         self.metadata = metadata
         self.t_norm = t_norm
+        # Per lexical domain name: the domain it was built from, its
+        # sorted items, and each item's lower case -> the first item
+        # in sorted order with that lower case.  Built on first use.
+        self._lexical_index: Dict[
+            str, PyTuple[DomainDescription, List[str], Dict[str, str]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Entry points
@@ -195,10 +201,35 @@ class Wrapper:
             score, bound = self._match_standard(cell_pattern.domain, text)
             return CellMatch(text, bound, score, cell_pattern.headline)
         assert isinstance(cell_pattern, LexicalCell)
-        domain = self.metadata.domain(cell_pattern.domain_name)
-        item, score = most_similar_item(text, domain.sorted_items())
+        item, score = self._lexical_match(cell_pattern.domain_name, text)
         bound = item if item is not None else text
         return CellMatch(text, bound, score, cell_pattern.headline)
+
+    def _lexical_match(
+        self, domain_name: str, text: str
+    ) -> PyTuple[Optional[str], float]:
+        """``most_similar_item(text, domain items)``, exact hits first.
+
+        Only an item equal to *text* up to case scores 1.0 (distance 0,
+        or two empty strings), nothing scores more, and the scan keeps
+        the first item in sorted order among equal scores -- so a
+        lower-case lookup returns the scan's answer without computing
+        any distance.  Misspelled cells fall through to the scan.
+        """
+        domain = self.metadata.domain(domain_name)
+        entry = self._lexical_index.get(domain_name)
+        if entry is None or entry[0] is not domain:
+            items = domain.sorted_items()
+            exact: Dict[str, str] = {}
+            for item in items:
+                exact.setdefault(item.lower(), item)
+            entry = (domain, items, exact)
+            self._lexical_index[domain_name] = entry
+        _, items, exact = entry
+        hit = exact.get(text.lower())
+        if hit is not None:
+            return hit, 1.0
+        return most_similar_item(text, items)
 
     def _constrained_lexical_match(
         self, cell_pattern: LexicalCell, text: str, ancestor: str

@@ -1,6 +1,7 @@
 """Unit tests for the document model (repro.acquisition.documents)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.acquisition.documents import (
     Cell,
@@ -93,6 +94,101 @@ class TestLogicalGrid:
     def test_empty_table(self):
         assert Table([]).logical_grid() == []
         assert Table([]).logical_width() == 0
+
+
+def reference_logical_grid(table):
+    """The quadratic layout :meth:`Table.logical_grid` replaced.
+
+    Kept verbatim as the oracle: it pads every row of the grid on
+    every call, so it is slow but plainly the HTML layout algorithm.
+    """
+    grid = []
+    occupied = []
+
+    def ensure_size(n_rows, n_columns):
+        while len(grid) < n_rows:
+            grid.append([])
+            occupied.append([])
+        for row_cells, row_flags in zip(grid, occupied):
+            while len(row_cells) < n_columns:
+                row_cells.append(None)
+                row_flags.append(False)
+
+    for row_index, row in enumerate(table.rows):
+        ensure_size(row_index + 1, len(grid[0]) if grid else 0)
+        column = 0
+        for cell in row:
+            # Find the first free column in this row.
+            while True:
+                ensure_size(row_index + 1, column + 1)
+                if not occupied[row_index][column]:
+                    break
+                column += 1
+            ensure_size(row_index + cell.rowspan, column + cell.colspan)
+            for r in range(row_index, row_index + cell.rowspan):
+                for c in range(column, column + cell.colspan):
+                    if occupied[r][c]:
+                        raise TableStructureError(
+                            f"cell spans overlap at grid position ({r}, {c})"
+                        )
+                    occupied[r][c] = True
+                    grid[r][c] = cell.text
+            column += cell.colspan
+    # Pad all rows to the final width.
+    width = max((len(r) for r in grid), default=0)
+    for row_cells, row_flags in zip(grid, occupied):
+        while len(row_cells) < width:
+            row_cells.append(None)
+            row_flags.append(False)
+    return grid
+
+
+span_cells = st.builds(
+    Cell,
+    st.sampled_from(["a", "b", "c", ""]),
+    rowspan=st.integers(min_value=1, max_value=3),
+    colspan=st.integers(min_value=1, max_value=2),
+)
+span_tables = st.builds(
+    Table,
+    st.lists(st.builds(Row, st.lists(span_cells, max_size=4)), max_size=7),
+)
+
+
+def grid_or_error(table, layout):
+    try:
+        return layout(table)
+    except TableStructureError as exc:
+        return type(exc), str(exc)
+
+
+class TestLogicalGridMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(span_tables)
+    def test_same_grid_or_same_overlap_error(self, table):
+        assert grid_or_error(table, Table.logical_grid) == grid_or_error(
+            table, reference_logical_grid
+        )
+
+    def test_overlap_error_matches_reference(self):
+        # "b" covers (0, 1) and (1, 1); the colspan-2 "c" then starts at
+        # (1, 0) and collides with it.
+        table = Table(
+            [
+                Row([Cell("a"), Cell("b", rowspan=2)]),
+                Row([Cell("c", colspan=2)]),
+            ]
+        )
+        with pytest.raises(TableStructureError, match=r"\(1, 1\)"):
+            table.logical_grid()
+        assert grid_or_error(table, Table.logical_grid) == grid_or_error(
+            table, reference_logical_grid
+        )
+
+    def test_rowspan_past_the_last_row_adds_grid_rows(self):
+        table = Table([Row([Cell("y", rowspan=3), Cell("a")])])
+        assert table.logical_grid() == reference_logical_grid(table)
+        assert table.logical_grid() == [["y", "a"], ["y", None], ["y", None]]
 
 
 class TestDocument:

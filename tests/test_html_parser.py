@@ -86,6 +86,24 @@ class TestParsing:
         html = '<table><tr><td rowspan="x">a</td></tr></table>'
         assert parse_html_tables(html)[0].rows[0].cells[0].rowspan == 1
 
+    def test_huge_colspan_clamped_to_html_limit(self):
+        html = '<table><tr><td colspan="1000000000">a</td></tr></table>'
+        table = parse_html_tables(html)[0]
+        assert table.rows[0].cells[0].colspan == 1000
+        grid = table.logical_grid()
+        assert len(grid) == 1
+        assert len(grid[0]) == 1000
+        assert set(grid[0]) == {"a"}
+
+    def test_huge_rowspan_clamped_to_html_limit(self):
+        html = '<table><tr><td rowspan="99999999">a</td></tr></table>'
+        assert parse_html_tables(html)[0].rows[0].cells[0].rowspan == 65534
+
+    def test_spans_within_limits_kept(self):
+        html = '<table><tr><td rowspan="65534" colspan="1000">a</td></tr></table>'
+        cell = parse_html_tables(html)[0].rows[0].cells[0]
+        assert (cell.rowspan, cell.colspan) == (65534, 1000)
+
     def test_no_tables(self):
         assert parse_html_tables("<p>hello</p>") == []
 

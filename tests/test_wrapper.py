@@ -6,12 +6,20 @@ propagation, and hierarchy-constrained binding.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.acquisition.conversion import to_html
 from repro.acquisition.documents import Cell, Document, Row, Table
-from repro.core.scenarios import cash_budget_document, cash_budget_metadata
-from repro.datasets import paper_rows
-from repro.wrapping.matching import TNorm
+from repro.core.scenarios import (
+    balance_sheet_scenario,
+    cash_budget_document,
+    cash_budget_metadata,
+)
+from repro.datasets import generate_balance_sheet, paper_rows
+from repro.wrapping import matching
+from repro.wrapping.matching import TNorm, most_similar_item
+from repro.wrapping.metadata import DomainDescription, MetadataError
+from repro.wrapping.patterns import LexicalCell
 from repro.wrapping.wrapper import Wrapper
 
 
@@ -161,3 +169,104 @@ class TestStandardCellScoring:
         p_score = product.instances[0].score if product.instances else 0.0
         m_rows = minimum.instances or minimum.unmatched
         assert p_score <= 0.5
+
+
+def misspell(data, text):
+    """*text* with one character deleted, substituted or inserted."""
+    position = data.draw(st.integers(min_value=0, max_value=len(text)))
+    edit = data.draw(st.sampled_from(["delete", "substitute", "insert"]))
+    char = data.draw(st.sampled_from("abxyZ "))
+    if edit == "delete" and position < len(text):
+        return text[:position] + text[position + 1 :]
+    if edit == "substitute" and position < len(text):
+        return text[:position] + char + text[position + 1 :]
+    return text[:position] + char + text[position:]
+
+
+class TestExactHitPath:
+    """The lexical match answers exact hits from a lower-case index;
+    :func:`most_similar_item` stays the reference it must agree with."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_most_similar_item(self, data):
+        base = data.draw(
+            st.lists(st.text(alphabet="abcAB ", max_size=6), min_size=1, max_size=6)
+        )
+        variants = [
+            variant
+            for item in base
+            for variant in (item.swapcase(), item.upper())
+            if data.draw(st.booleans())
+        ]
+        items = set(base) | set(variants)
+        if data.draw(st.booleans()):
+            items.add("")
+        metadata = cash_budget_metadata()
+        metadata.domains["Subsection"] = DomainDescription("Subsection", items)
+        wrapper = Wrapper(metadata)
+        cell = LexicalCell("Subsection")
+        ordered = sorted(items)
+        texts = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            item = data.draw(st.sampled_from(ordered))
+            kind = data.draw(
+                st.sampled_from(["exact", "swapcase", "title", "misspelled", "free"])
+            )
+            if kind == "exact":
+                texts.append(item)
+            elif kind == "swapcase":
+                texts.append(item.swapcase())
+            elif kind == "title":
+                texts.append(item.title())
+            elif kind == "misspelled":
+                texts.append(misspell(data, item))
+            else:
+                texts.append(data.draw(st.text(alphabet="abcxAB ", max_size=6)))
+        for text in texts:
+            match = wrapper._match_cell(cell, text)
+            assert (match.bound_value, match.score) == most_similar_item(
+                text, ordered
+            ), text
+
+    def test_case_variants_bind_to_the_first_sorted_item(self, metadata):
+        metadata.domains["Subsection"] = DomainDescription(
+            "Subsection", ["cash", "Cash", "CASH", "cash sales"]
+        )
+        match = Wrapper(metadata)._match_cell(LexicalCell("Subsection"), "cAsH")
+        assert (match.bound_value, match.score) == ("CASH", 1.0)
+        assert most_similar_item("cAsH", ["cash", "Cash", "CASH"]) == ("CASH", 1.0)
+
+    def test_replaced_domain_is_reindexed(self, metadata):
+        wrapper = Wrapper(metadata)
+        cell = LexicalCell("Subsection")
+        assert wrapper._match_cell(cell, "cash sales").score == 1.0
+        metadata.domains["Subsection"] = DomainDescription("Subsection", ["loans"])
+        assert wrapper._match_cell(cell, "cash sales").bound_value == "loans"
+
+    def test_unknown_domain_still_raises(self, wrapper):
+        with pytest.raises(MetadataError, match="unknown lexical domain"):
+            wrapper._match_cell(LexicalCell("Nowhere"), "cash")
+
+    def test_noise_free_sheet_computes_no_edit_distance(self, monkeypatch):
+        calls = []
+        original = matching.levenshtein
+
+        def counting_levenshtein(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "levenshtein", counting_levenshtein)
+        scenario = balance_sheet_scenario(
+            generate_balance_sheet(depth=3, branching=3, seed=1)
+        )
+        wrapper = Wrapper(scenario.metadata)
+        report = wrapper.wrap_html(to_html(scenario.document))
+        assert report.instances and not report.unmatched
+        assert report.n_repaired_strings == 0
+        assert calls == []
+        # A misspelled label ("assets" -> "ssets") still takes the scan.
+        texts = [cell.raw_text for cell in report.instances[0].cells]
+        texts[2] = texts[2][1:]
+        wrapper.wrap_tables([Table([Row([Cell(text) for text in texts])])])
+        assert calls
