@@ -1,9 +1,9 @@
 """The MILP hot-path benchmark: the tracked perf trajectory.
 
 Runs every scenario on both branch-and-bound backends with the solver
-defaults -- presolve, warm starts (simplex backend), pseudo-cost
-branching, Dantzig pricing, heuristic incumbent seeding, the CSR core
-(revised simplex / persistent HiGHS node LPs) -- and records
+defaults -- warm starts (simplex backend), pseudo-cost branching,
+Dantzig pricing, heuristic incumbent seeding, the CSR core (revised
+simplex / persistent HiGHS node LPs) -- and records
 objective, nodes, pivots and wall-clock per (scenario, backend).
 Wall-clock is whatever the host gives us; the node/pivot counts are
 deterministic and the real regression signal.

@@ -92,7 +92,8 @@ class Table:
         covers it, or ``None`` if nothing covers it (ragged input).
         Mirrors the HTML table layout algorithm: each physical cell is
         placed at the first free column of its row, then its span block
-        is marked occupied.
+        is marked occupied.  As there, a rowspan is clipped at the
+        table's last row: the grid has exactly one row per table row.
         """
         grid: List[List[Optional[str]]] = []
         occupied: List[List[bool]] = []
@@ -106,7 +107,7 @@ class Table:
                 # The first free column in this row; past its end is free.
                 while column < len(flags) and flags[column]:
                     column += 1
-                end_row = row_index + cell.rowspan
+                end_row = min(row_index + cell.rowspan, len(self.rows))
                 end_column = column + cell.colspan
                 while len(grid) < end_row:
                     grid.append([])

@@ -16,10 +16,7 @@ Commands:
   suggested updates (in the validation interface's involvement order),
   optionally write the repaired instance with ``--output``; on an
   unrepairable instance ``--explain-infeasible`` extracts an IIS and
-  names the exact conflicting constraints and pins, while
-  ``--on-infeasible relax`` returns the least-wrong RELAXED repair
-  together with its violation report (``--violation-report`` dumps it
-  as JSON);
+  names the exact conflicting constraints and pins;
 - ``batch <dir> [<dir> ...]`` -- repair many project directories as
   one batch: ``--workers`` fans them out over a process pool,
   ``--timeout`` budgets each solve (anytime: an expired budget yields
@@ -59,12 +56,7 @@ from repro.relational.schematext import dump_schema, load_schema
 from repro.milp.iis import IISError
 from repro.repair.batch import RepairTask, repair_batch
 from repro.repair.cqa import consistent_aggregate_answer
-from repro.repair.engine import (
-    ON_INFEASIBLE_MODES,
-    STRATEGIES,
-    RepairEngine,
-    UnrepairableError,
-)
+from repro.repair.engine import STRATEGIES, RepairEngine, UnrepairableError
 from repro.repair.interactive import involvement_order
 from repro.repair.translation import RepairObjective
 
@@ -138,8 +130,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
         constraints,
         objective=objective,
         backend=args.backend,
-        presolve=not args.no_presolve,
-        on_infeasible=args.on_infeasible,
         strategy=args.strategy,
         certify=args.certify,
     )
@@ -165,19 +155,9 @@ def cmd_repair(args: argparse.Namespace) -> int:
     except SolveTimeoutError as exc:
         raise CliError(f"time limit expired with no feasible repair: {exc}")
     except UnrepairableError as exc:
-        conflict = getattr(exc, "conflict", None)
-        if conflict is not None:
-            print("infeasible system:", file=sys.stderr)
-            for line in conflict.describe().splitlines():
-                print(f"  {line}", file=sys.stderr)
         raise CliError(f"unrepairable: {exc}")
     print(f"{len(engine.violations())} violation(s); "
           f"suggested repair changes {outcome.cardinality} value(s):")
-    if outcome.relaxed:
-        print("  RELAXED: no exact repair exists; this one minimises the "
-              "violations it leaves behind:")
-        for line in outcome.violations.describe().splitlines():
-            print(f"  {line}")
     if outcome.approximate:
         print(f"  (anytime result: budget expired; objective is within "
               f"{outcome.gap:g} of the exact optimum)")
@@ -213,19 +193,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
         write_mps(outcome.translation.model, args.export_mps)
         print(f"MILP instance exported to {args.export_mps} (free-form MPS)")
-    if args.violation_report:
-        import json
-
-        payload = (
-            outcome.violations.as_dict()
-            if outcome.violations is not None
-            else {"n_violated": 0, "total_violation": 0.0, "violations": []}
-        )
-        payload["status"] = outcome.status
-        Path(args.violation_report).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"violation report written to {args.violation_report}")
     if args.output:
         repaired = engine.apply(outcome.repair)
         written = dump_database(repaired, args.output)
@@ -264,7 +231,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         resume=not args.no_resume,
         max_task_retries=args.max_task_retries,
-        on_infeasible=args.on_infeasible,
         strategy=args.strategy,
         certify=args.certify,
     )
@@ -272,10 +238,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         line = f"{result.name}: {result.status}"
         if result.status == "repaired":
             line += f" ({result.cardinality} value(s) changed)"
-        if result.status == "relaxed":
-            line += (f" ({result.cardinality} value(s) changed, "
-                     f"{len(result.violations or [])} constraint(s) "
-                     f"left violated)")
         if result.approximate:
             line += f" [anytime: within {result.gap:g} of optimal]"
         if result.fallback_taken:
@@ -326,7 +288,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         timeout=args.timeout,
         cache_size=args.cache,
-        on_infeasible=args.on_infeasible,
         strategy=args.strategy,
         certify=args.certify,
         breaker_threshold=args.breaker_threshold,
@@ -502,14 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
              "--no-certify skips the check (default: on)",
     )
     p_repair.add_argument(
-        "--no-presolve", action="store_true",
-        help="disable the MILP presolve pass on the bnb backends "
-             "(escape hatch; never changes the repair's optimality)",
-    )
-    p_repair.add_argument(
         "--stats", action="store_true",
         help="print per-solve statistics (wall time, nodes, pivots, "
-             "presolve reductions, warm-start hits, heuristic seeding)",
+             "warm-start hits, heuristic seeding)",
     )
     p_repair.add_argument(
         "--time-limit", type=float, default=None,
@@ -520,28 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument(
         "--pin", action="append", metavar="REL:ID:ATTR=VALUE",
         help="operator pin: fix Relation[tuple_id].Attribute to VALUE "
-             "(repeatable; pins are hard constraints and are never relaxed)",
-    )
-    p_repair.add_argument(
-        "--on-infeasible",
-        choices=list(ON_INFEASIBLE_MODES),
-        default="raise",
-        help="what to do when no repair exists: 'raise' fails with the "
-             "historical message, 'explain' extracts an IIS and names the "
-             "conflicting constraints/pins, 'relax' returns the RELAXED "
-             "repair with the lexicographically smallest violations "
-             "(default: %(default)s)",
+             "(repeatable; pins are hard constraints)",
     )
     p_repair.add_argument(
         "--explain-infeasible", action="store_true",
         help="do not repair; extract an irreducible infeasible subsystem "
              "and print the conflicting ground constraints, pins and "
              "cells (exit 2 when infeasible, 0 when repairable)",
-    )
-    p_repair.add_argument(
-        "--violation-report", metavar="PATH",
-        help="write the relaxation's violation report to PATH as JSON "
-             "(empty report when the repair is exact)",
     )
     p_repair.set_defaults(func=cmd_repair)
 
@@ -619,14 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash retries per task before it is quarantined "
              "(default: %(default)s)",
     )
-    p_batch.add_argument(
-        "--on-infeasible",
-        choices=list(ON_INFEASIBLE_MODES),
-        default="raise",
-        help="per-task behaviour when no repair exists: 'relax' turns "
-             "infeasible tasks into RELAXED results carrying their "
-             "violation report (default: %(default)s)",
-    )
     p_batch.set_defaults(func=cmd_batch)
 
     p_serve = subparsers.add_parser(
@@ -677,13 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--certify", action=argparse.BooleanOptionalAction, default=True,
         help="exact-arithmetic certification; only certified results "
              "enter the store or the journal (default: on)",
-    )
-    p_serve.add_argument(
-        "--on-infeasible",
-        choices=list(ON_INFEASIBLE_MODES),
-        default="raise",
-        help="per-task behaviour when no repair exists "
-             "(default: %(default)s)",
     )
     p_serve.add_argument(
         "--breaker-threshold", type=int, default=3,

@@ -20,11 +20,8 @@ from repro.core.scenarios import (
     catalog_scenario,
 )
 from repro.core.system import AcquisitionSession, DartSystem
-from repro.core.corpus import CorpusResult, run_corpus
 
 __all__ = [
-    "CorpusResult",
-    "run_corpus",
     "Scenario",
     "cash_budget_metadata",
     "cash_budget_document",

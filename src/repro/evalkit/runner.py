@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple as PyTuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple as PyTuple
 
 #: One experiment run returns a flat mapping of measurement name -> number.
 Measurements = Mapping[str, float]
@@ -24,8 +24,6 @@ class SweepCell:
     parameter: Any
     runs: List[Dict[str, float]] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: ``(seed, error message)`` for runs skipped under ``on_error="skip"``.
-    failures: List[PyTuple[int, str]] = field(default_factory=list)
 
     def mean(self, name: str) -> float:
         values = [run[name] for run in self.runs if name in run]
@@ -43,80 +41,21 @@ class SweepCell:
         return self.mean(name)
 
 
-#: Marker for a grid point skipped under ``on_error="skip"``: a run
-#: dict with only this key, so aggregation (which keys by measurement
-#: name) never mixes a failed run into a mean.
-_FAILURE_KEY = "__sweep_error__"
-
-
-def _sweep_job(payload) -> Dict[str, Any]:
-    run, parameter, seed, on_error = payload
-    try:
-        return {k: float(v) for k, v in dict(run(parameter, seed)).items()}
-    except Exception as exc:
-        if on_error != "skip":
-            raise
-        return {_FAILURE_KEY: f"seed {seed}: {type(exc).__name__}: {exc}"}
-
-
-def _fold(cell: SweepCell, seed: int, result: Dict[str, Any]) -> None:
-    if _FAILURE_KEY in result:
-        cell.failures.append((seed, result[_FAILURE_KEY]))
-    else:
-        cell.runs.append(result)
-
-
 def sweep(
     parameters: Sequence[Any],
     seeds: Iterable[int],
     run: Callable[[Any, int], Measurements],
-    *,
-    workers: Optional[int] = None,
-    chunksize: int = 1,
-    on_error: str = "raise",
 ) -> List[SweepCell]:
-    """Run ``run(parameter, seed)`` over the full grid.
-
-    With ``workers >= 1`` the grid points fan out over a process pool
-    -- *run* must then be a picklable top-level function.  Results are
-    folded back into cells in grid order, so aggregates are identical
-    to the sequential run; per-cell ``elapsed_seconds`` then reports
-    the cell's share of the parallel wall clock, not solver time.
-
-    ``on_error`` controls per-run fault tolerance: ``"raise"`` (the
-    default) propagates the first failure; ``"skip"`` records the
-    failure on the cell's :attr:`~SweepCell.failures` and keeps
-    sweeping -- a long benchmark survives one degenerate grid point.
-    """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
+    """Run ``run(parameter, seed)`` over the full grid, in order."""
     seed_list = list(seeds)
     cells: List[SweepCell] = []
-    if workers and workers >= 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (run, parameter, seed, on_error)
-            for parameter in parameters
-            for seed in seed_list
-        ]
-        started = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, payloads, chunksize=chunksize))
-        elapsed = time.perf_counter() - started
-        per_cell = elapsed / len(parameters) if parameters else 0.0
-        for i, parameter in enumerate(parameters):
-            cell = SweepCell(parameter=parameter)
-            for j, seed in enumerate(seed_list):
-                _fold(cell, seed, results[i * len(seed_list) + j])
-            cell.elapsed_seconds = per_cell
-            cells.append(cell)
-        return cells
     for parameter in parameters:
         cell = SweepCell(parameter=parameter)
         started = time.perf_counter()
         for seed in seed_list:
-            _fold(cell, seed, _sweep_job((run, parameter, seed, on_error)))
+            cell.runs.append(
+                {k: float(v) for k, v in dict(run(parameter, seed)).items()}
+            )
         cell.elapsed_seconds = time.perf_counter() - started
         cells.append(cell)
     return cells

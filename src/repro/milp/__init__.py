@@ -11,7 +11,7 @@ provides the solver substrate from scratch:
 - :mod:`repro.milp.revised` -- the sparse bounded-variable revised
   simplex (LU + eta file), the LP core of the ``bnb-simplex`` backend;
 - :mod:`repro.milp.presolve` -- bound propagation, forced fixings and
-  big-M coefficient tightening ahead of the search;
+  big-M coefficient tightening; the IIS probes' infeasibility oracle;
 - :mod:`repro.milp.warmstart` -- parent-basis warm starts for the node
   LPs of the simplex-backed search;
 - :mod:`repro.milp.node_lp` -- one persistent HiGHS instance per tree

@@ -3,21 +3,23 @@
 The classic scheme, with the hot-path machinery added by the solver
 overhaul:
 
-1. **presolve** the lowered arrays (bound propagation, big-M
-   tightening, forced fixings -- see :mod:`repro.milp.presolve`); the
-   search runs on the reduced problem and postsolves the answer;
-2. solve the LP relaxation of each node -- **warm-started** from the
+1. solve the LP relaxation of each node -- **warm-started** from the
    parent basis when the ``simplex`` LP backend is active (one bound
    changes per child, so a couple of dual pivots usually suffice; see
    :mod:`repro.milp.warmstart`);
-3. prune if infeasible or worse than the incumbent -- an **incumbent
+2. prune if infeasible or worse than the incumbent -- an **incumbent
    seed** (e.g. from the greedy repair heuristic) makes pruning start
    at node 1, and when the objective is provably integral the node
    bound is rounded up before comparing;
-4. if the relaxation is integral, it becomes the new incumbent;
-5. otherwise branch on the variable with the best **pseudo-cost**
+3. if the relaxation is integral, it becomes the new incumbent;
+4. otherwise branch on the variable with the best **pseudo-cost**
    score (estimated objective degradation per unit of fraction,
    learned from observed child bounds).
+
+The search runs on the lowered model as it stands: no presolve.  On
+the repair models ``S*(AC)`` the presolve of :mod:`repro.milp.presolve`
+reduced nothing, so only IIS extraction runs it (see
+``docs/solver.md``).
 
 Nodes are explored best-first (lowest relaxation bound first), which
 makes the incumbent's optimality certificate immediate when the node
@@ -53,7 +55,6 @@ from repro.milp.node_lp import (
     persistent_available,
     solve_lp_linprog,
 )
-from repro.milp.presolve import PresolveResult, presolve as run_presolve
 from repro.milp.revised import solve_lp_sparse
 from repro.milp.simplex import LPResult, PRICING_DANTZIG
 from repro.milp.sparse import SparseArrays
@@ -202,7 +203,6 @@ def solve_branch_and_bound(
     lp_backend: str = "scipy",
     max_nodes: int = 100_000,
     gap_tolerance: float = 1e-9,
-    presolve: bool = True,
     warm_start: bool = True,
     pricing: str = PRICING_DANTZIG,
     incumbent: Optional[Sequence[float]] = None,
@@ -225,8 +225,6 @@ def solve_branch_and_bound(
 
     Performance options (none of them changes the optimal objective):
 
-    - ``presolve`` -- run :func:`repro.milp.presolve.presolve` first
-      and search the reduced problem;
     - ``warm_start`` -- with ``lp_backend="simplex"``, re-solve child
       nodes from the parent basis by dual simplex instead of cold
       solves;
@@ -237,8 +235,7 @@ def solve_branch_and_bound(
       starts at node 1.  Infeasible seeds are silently ignored.
 
     Per-phase wall-clock seconds are reported in ``stats`` as
-    ``phase_lower`` / ``phase_presolve`` / ``phase_root_lp`` /
-    ``phase_bnb``.
+    ``phase_lower`` / ``phase_root_lp`` / ``phase_bnb``.
     """
     if lp_backend not in LP_BACKENDS:
         raise ValueError(
@@ -249,47 +246,8 @@ def solve_branch_and_bound(
     stats: Dict[str, float] = {}
 
     mark = time.perf_counter()
-    root_arrays = lower_model_sparse(model)
+    work = lower_model_sparse(model)
     stats["phase_lower"] = time.perf_counter() - mark
-
-    reduction: Optional[PresolveResult] = None
-    work = root_arrays
-    if presolve:
-        mark = time.perf_counter()
-        reduction = run_presolve(root_arrays)
-        stats["phase_presolve"] = time.perf_counter() - mark
-        stats.update(reduction.stats.as_solution_stats())
-        if reduction.status == "infeasible":
-            stats.update({"nodes": 0.0, "lp_iterations": 0.0})
-            return Solution(SolveStatus.INFEASIBLE, stats=stats)
-        if reduction.status == "solved":
-            x_full = reduction.restore()
-            if model.check_feasible(x_full):
-                stats.update(
-                    {"nodes": 0.0, "lp_iterations": 0.0, "presolve_solved": 1.0}
-                )
-                return Solution(
-                    SolveStatus.OPTIMAL,
-                    objective=float(root_arrays.costs @ x_full)
-                    + root_arrays.objective_constant,
-                    values=model.solution_values(x_full),
-                    stats=stats,
-                )
-            # Paranoia: the presolve point failed the model's own check
-            # (tolerance interplay); fall back to the full search.
-            return solve_branch_and_bound(
-                model,
-                lp_backend=lp_backend,
-                max_nodes=max_nodes,
-                gap_tolerance=gap_tolerance,
-                presolve=False,
-                warm_start=warm_start,
-                pricing=pricing,
-                incumbent=incumbent,
-                time_limit=deadline.remaining(),
-            )
-        assert reduction.arrays is not None
-        work = reduction.arrays
 
     # Seed the incumbent from a caller-supplied feasible point.
     incumbent_x: Optional[np.ndarray] = None
@@ -297,13 +255,9 @@ def solve_branch_and_bound(
     if incumbent is not None:
         point = np.asarray(incumbent, dtype=float)
         if point.shape[0] == model.n_variables and model.check_feasible(point):
-            reduced_point = (
-                reduction.reduce_point(point) if reduction is not None else point.copy()
-            )
-            if reduced_point is not None:
-                incumbent_x = reduced_point
-                incumbent_objective = float(work.costs @ reduced_point)
-                stats["incumbent_seeded"] = 1.0
+            incumbent_x = point.copy()
+            incumbent_objective = float(work.costs @ incumbent_x)
+            stats["incumbent_seeded"] = 1.0
 
     # When the objective's support is integral with integer coefficients
     # every attainable objective is an integer: node bounds can be
@@ -390,13 +344,10 @@ def solve_branch_and_bound(
         else:
             stats["gap_absolute"] = 0.0
             stats["gap_relative"] = 0.0
-        x_full = (
-            reduction.restore(incumbent_x) if reduction is not None else incumbent_x
-        )
         return Solution(
             status,
             objective=incumbent_objective + work.objective_constant,
-            values=model.solution_values(x_full),
+            values=model.solution_values(incumbent_x),
             stats=stats,
         )
 

@@ -61,8 +61,8 @@ DEFAULT_CACHE_SIZE = 256
 CacheKey = Tuple[str, str, str]
 
 #: Backend options that tune *how* the search runs but cannot change
-#: the optimal solution (incumbent seeds, presolve/warm-start toggles,
-#: pricing rules).  Excluded from cache keys so a seeded
+#: the optimal solution (incumbent seeds, warm-start toggles, pricing
+#: rules).  Excluded from cache keys so a seeded
 #: solve and a plain solve of the same model share one entry.
 #: ``time_limit`` joins them because only wall-clock-independent
 #: verdicts (optimal / infeasible / unbounded) are ever stored -- see
@@ -71,7 +71,6 @@ CacheKey = Tuple[str, str, str]
 PERFORMANCE_OPTIONS = frozenset(
     {
         "incumbent",
-        "presolve",
         "warm_start",
         "pricing",
         "time_limit",

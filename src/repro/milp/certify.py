@@ -1,16 +1,15 @@
 """Exact-arithmetic certification and the numerics degradation ladder.
 
-The sparse revised simplex, presolve and the warm-started node LPs
-are exactly the machinery where floating-point drift can silently
-produce a *wrong* repair: a stale eta-file basis can declare an
-infeasible incumbent feasible, a tightened big-M coefficient can
-shave off the true optimum.  DART's contract is a *card-minimal*
-repair, and a minimality claim is only worth anything if the answer
-is exact — so every answer re-verifies itself here, in
-:mod:`fractions` rational arithmetic, against the **original** model
-(pre-presolve, pre-warm-start).  A bug anywhere in the lowering /
-presolve / search stack then cannot escape as a silently wrong
-repair: it surfaces as a failed certificate.
+The sparse revised simplex and the warm-started node LPs are exactly
+the machinery where floating-point drift can silently produce a
+*wrong* repair: a stale eta-file basis can declare an infeasible
+incumbent feasible.  DART's contract is a *card-minimal* repair, and a
+minimality claim is only worth anything if the answer is exact — so
+every answer re-verifies itself here, in :mod:`fractions` rational
+arithmetic, against the **original** model (as the caller built it,
+before lowering or any warm start).  A bug anywhere in the lowering /
+search stack then cannot escape as a silently wrong repair: it
+surfaces as a failed certificate.
 
 Two layers of defence:
 
@@ -71,7 +70,6 @@ _BNB_ONLY_OPTIONS = frozenset(
     {
         "max_nodes",
         "gap_tolerance",
-        "presolve",
         "warm_start",
         "pricing",
         "incumbent",
@@ -144,7 +142,7 @@ def certify_solution(
     """Replay *solution* against the original *model* in rationals.
 
     Verifies, for every variable and every constraint of the model as
-    the caller built it (before presolve or any backend saw it):
+    the caller built it (before any backend saw it):
     integrality of integer/binary variables (values are snapped to the
     nearest integer when within ``int_tol``), variable bounds,
     row feasibility under a scale-relative tolerance, and the reported

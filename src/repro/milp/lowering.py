@@ -1,7 +1,7 @@
 """Lowering a :class:`~repro.milp.model.MILPModel` to arrays.
 
-Every solver pass (presolve, the branch-and-bound search, the node
-LPs) works on the CSR form built by :func:`lower_model_sparse`::
+Every solver pass (the branch-and-bound search, the node LPs, the
+IIS probes' presolve) works on the CSR form built by :func:`lower_model_sparse`::
 
     min  costs . x  (+ objective_constant)
     s.t. a_ub x <= b_ub

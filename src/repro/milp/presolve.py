@@ -1,12 +1,16 @@
-"""MILP presolve: shrink the lowered arrays before any LP is built.
+"""MILP presolve: the infeasibility oracle of IIS extraction.
 
-The grounded repair instances ``S*(AC)`` carry a lot of exploitable
-structure: ``y_i = z_i - v_i`` equality rows give every difference
-variable finite implied bounds, the Big-M link rows
-``+/-y_i - M d_i <= 0`` have coefficients wildly larger than the data
-(tightenable once ``y``'s real range is known), and violated ground
-equalities force touch-indicators to 1 outright.  This module applies
-the classic reductions in a fixpoint loop:
+:mod:`repro.milp.iis` runs :func:`presolve` on every probe subsystem
+first: an ``"infeasible"`` verdict (with its implicated row) or a
+``"solved"`` one decides the probe without an LP.  The branch-and-bound
+search does not run it: on the repair models ``S*(AC)`` it reduced
+nothing.  Each ``y_i`` is free, and in its definition row
+``y_i - z_i = -v_i`` it is the only unbounded column, so the rest
+activity without it is ``(-inf) - (-inf)``, a nan: ``y_i`` never gets
+its implied box, and the Big-M link rows, which hold ``y_i`` too, never
+see a finite rest activity.  ``docs/solver.md`` records the numbers.
+
+The classic reductions run in a fixpoint loop:
 
 - **bound propagation** from row activity bounds (and its special case,
   singleton rows, which become bounds and disappear);
@@ -32,9 +36,7 @@ integer-feasible points never are.
 works on a private dense copy of the two constraint blocks: presolve is
 a one-shot pass whose cost is dwarfed by the search.
 :class:`PresolveResult` carries the reduced arrays plus the postsolve
-map (kept columns + fixed values) to translate solutions back, and
-:meth:`PresolveResult.reduce_point` projects a full-space point (e.g.
-a heuristic incumbent) into the reduced space.
+map (kept columns + fixed values) to translate solutions back.
 """
 
 from __future__ import annotations
@@ -60,21 +62,13 @@ MAX_PASSES = 12
 
 @dataclass
 class PresolveStats:
-    """Reduction counters, folded into ``Solution.stats`` downstream."""
+    """Reduction counters of one :func:`presolve` run."""
 
     rows_dropped: int = 0
     vars_fixed: int = 0
     bounds_tightened: int = 0
     coeffs_tightened: int = 0
     passes: int = 0
-
-    def as_solution_stats(self) -> Dict[str, float]:
-        return {
-            "presolve_rows_dropped": float(self.rows_dropped),
-            "presolve_vars_fixed": float(self.vars_fixed),
-            "presolve_bounds_tightened": float(self.bounds_tightened),
-            "presolve_coeffs_tightened": float(self.coeffs_tightened),
-        }
 
 
 @dataclass
@@ -112,19 +106,6 @@ class PresolveResult:
             for position, index in enumerate(self.kept):
                 x[index] = float(x_reduced[position])
         return x
-
-    def reduce_point(
-        self, x_full: Sequence[float], tolerance: float = 1e-6
-    ) -> Optional[np.ndarray]:
-        """Project a full-space point into the reduced space.
-
-        Returns ``None`` when the point contradicts a fixing (it then
-        cannot seed the reduced search).
-        """
-        for index, value in self.fixed.items():
-            if abs(float(x_full[index]) - value) > tolerance:
-                return None
-        return np.array([float(x_full[index]) for index in self.kept])
 
 
 class _Infeasible(Exception):

@@ -85,8 +85,8 @@ class SolveStats:
     n_variables: int = 0
     n_constraints: int = 0
     objective: Optional[float] = None
-    #: Presolve reductions (rows dropped + variables fixed + bounds /
-    #: coefficients tightened); 0 when presolve was off or trivial.
+    #: Reductions of a presolve the search no longer runs: always 0.
+    #: Kept because ``perfbench/tracing.py:_solve`` still reads it.
     presolve_reductions: int = 0
     #: Warm-started child LPs vs cold fallbacks (simplex-backed search).
     warm_start_hits: int = 0
@@ -103,9 +103,8 @@ class SolveStats:
     gap: Optional[float] = None
     best_bound: Optional[float] = None
     #: Which forensics phase emitted this record: "" for ordinary
-    #: repair solves, "iis" for conflict extraction, "relax-count" /
-    #: "relax-magnitude" / "relax-repair" for the lexicographic
-    #: relaxation passes.  Forensics phases bypass the solve cache.
+    #: repair solves, "iis" for conflict extraction (which bypasses the
+    #: solve cache).
     phase: str = ""
     #: Cascade accounting (``strategy="cascade"`` repairs only): which
     #: tier emitted this record (``"t1-inversion"`` ...), how many
@@ -115,7 +114,7 @@ class SolveStats:
     tier_hits: int = 0
     tier_fallthroughs: int = 0
     #: Per-phase wall-clock seconds from the branch-and-bound backends
-    #: (lowering / presolve / root LP / tree search); empty
+    #: (lowering / root LP / tree search); empty
     #: for backends that do not report phases (plain ``scipy``).
     phase_times: Dict[str, float] = field(default_factory=dict)
     #: Cut counters of a removed cutting-plane layer: always 0.  Kept
@@ -158,8 +157,6 @@ class SolveStats:
             flags.append("cache-hit")
         if self.fallback:
             flags.append("fallback")
-        if self.presolve_reductions:
-            flags.append(f"presolve:{self.presolve_reductions}")
         if self.warm_start_hits or self.warm_start_fallbacks:
             flags.append(
                 f"warm:{self.warm_start_hits}/{self.warm_start_fallbacks}"
@@ -226,15 +223,6 @@ def _stats_from_solution(
     wall_time: float,
     cache_hit: bool,
 ) -> SolveStats:
-    reductions = sum(
-        int(solution.stats.get(key, 0))
-        for key in (
-            "presolve_rows_dropped",
-            "presolve_vars_fixed",
-            "presolve_bounds_tightened",
-            "presolve_coeffs_tightened",
-        )
-    )
     best_bound = solution.stats.get("best_bound")
     phase_times = {
         key: float(value)
@@ -251,7 +239,6 @@ def _stats_from_solution(
         n_variables=model.n_variables,
         n_constraints=model.n_constraints,
         objective=solution.objective,
-        presolve_reductions=reductions,
         warm_start_hits=int(solution.stats.get("warm_start_hits", 0)),
         warm_start_fallbacks=int(solution.stats.get("warm_start_fallbacks", 0)),
         gap=solution.gap,

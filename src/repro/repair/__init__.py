@@ -14,9 +14,6 @@
   (``strategy="cascade"``): confusion-matrix inversion, equality
   back-solving and a certified greedy tier resolve most violations
   without invoking the MILP, which remains as the exact residue tier;
-- :mod:`repro.repair.relax` -- elastic relaxation of infeasible
-  instances (``on_infeasible="relax"``): lexicographically minimal
-  violations with a structured report, never cached;
 - :mod:`repro.repair.batch` -- the fault-tolerant parallel
   batch-repair engine (process pool, per-task solve budgets with
   anytime gaps, backend fallback, checkpoint/resume, crash recovery
@@ -48,12 +45,6 @@ from repro.repair.translation import (
     practical_big_m,
     theoretical_big_m,
     translate,
-)
-from repro.repair.relax import (
-    ConstraintViolation,
-    RelaxationOutcome,
-    RelaxationReport,
-    relax_infeasible,
 )
 from repro.repair.cqa import ConsistentAnswer, consistent_aggregate_answer
 from repro.repair.enumeration import (
@@ -134,10 +125,6 @@ __all__ = [
     "RepairOutcome",
     "UnrepairableError",
     "ConflictReport",
-    "ConstraintViolation",
-    "RelaxationOutcome",
-    "RelaxationReport",
-    "relax_infeasible",
     "RepairTask",
     "BatchItemResult",
     "BatchReport",

@@ -85,11 +85,12 @@ from repro.milp.solver import DEFAULT_BACKEND, FALLBACK_BACKEND, SolveStats
 from repro.relational.database import Database
 from repro.repair.cascade import TIER_EXACT, TIERS
 from repro.repair.checkpoint import (
+    HEADER_ON_INFEASIBLE,
     CheckpointJournal,
     journal_worthy,
     task_fingerprint,
 )
-from repro.repair.engine import ON_INFEASIBLE_MODES, STRATEGIES, RepairEngine
+from repro.repair.engine import STRATEGIES, RepairEngine
 from repro.repair.translation import RepairObjective
 from repro.repair.updates import Repair
 
@@ -154,9 +155,9 @@ class BatchItemResult:
 
     index: int
     name: str
-    #: "repaired" | "consistent" | "relaxed" | "unrepairable" |
-    #: "timeout" | "invalid_input" | "degenerate" | "malformed" |
-    #: "unbounded" | "crashed" | "quarantined" | "error"
+    #: "repaired" | "consistent" | "unrepairable" | "timeout" |
+    #: "invalid_input" | "degenerate" | "malformed" | "unbounded" |
+    #: "crashed" | "quarantined" | "error"
     status: str
     repair: Optional[Repair] = None
     objective: Optional[float] = None
@@ -178,14 +179,10 @@ class BatchItemResult:
     error: Optional[str] = None
     wall_time: float = 0.0
     stats: List[SolveStats] = field(default_factory=list)
-    #: ``on_infeasible="relax"``: the structured violation report of a
-    #: relaxed repair (one dict per violated ground constraint), None
-    #: for exact repairs.
-    violations: Optional[List[Dict]] = None
 
     @property
     def ok(self) -> bool:
-        return self.status in ("repaired", "consistent", "relaxed")
+        return self.status in ("repaired", "consistent")
 
     @property
     def cardinality(self) -> int:
@@ -235,10 +232,6 @@ class BatchReport:
     @property
     def n_approximate(self) -> int:
         return sum(1 for r in self.results if r.approximate)
-
-    @property
-    def n_relaxed(self) -> int:
-        return sum(1 for r in self.results if r.status == "relaxed")
 
     @property
     def n_resumed(self) -> int:
@@ -293,10 +286,6 @@ class BatchReport:
     def solver_seconds(self) -> float:
         """Summed per-solve wall time (CPU-side; > wall_time when parallel)."""
         return sum(s.wall_time for s in self.all_stats)
-
-    @property
-    def total_presolve_reductions(self) -> int:
-        return sum(s.presolve_reductions for s in self.all_stats)
 
     @property
     def total_warm_start_hits(self) -> int:
@@ -358,14 +347,12 @@ class BatchReport:
             "failed": float(self.n_failed),
             "fallbacks": float(self.n_fallbacks),
             "approximate": float(self.n_approximate),
-            "relaxed": float(self.n_relaxed),
             "quarantined": float(self.n_quarantined),
             "solves": float(self.total_solves),
             "cache_hits": float(self.cache_hits),
             "cache_misses": float(self.cache_misses),
             "nodes": float(self.total_nodes),
             "simplex_pivots": float(self.total_pivots),
-            "presolve_reductions": float(self.total_presolve_reductions),
             "warm_start_hits": float(self.total_warm_start_hits),
             "warm_start_fallbacks": float(self.total_warm_start_fallbacks),
             "seeded_solves": float(self.n_seeded_solves),
@@ -391,8 +378,6 @@ class BatchReport:
             extras += f", {self.n_degraded} ladder-degraded"
         if self.n_approximate:
             extras += f", {self.n_approximate} approximate"
-        if self.n_relaxed:
-            extras += f", {self.n_relaxed} relaxed"
         if self.n_quarantined:
             extras += f", {self.n_quarantined} quarantined"
         if self.n_resumed:
@@ -422,12 +407,11 @@ def _attempt(
     timeout: Optional[float],
     cache: Optional[SolveCache],
     stats_sink: List[SolveStats],
-    on_infeasible: str = "raise",
     strategy: str = "exact",
     certify: bool = True,
 ) -> Tuple[
     str, Optional[Repair], Optional[float], bool, Optional[float],
-    Optional[List[Dict]], Optional[bool],
+    Optional[bool],
 ]:
     """One engine run on one backend; may raise for the retry logic.
 
@@ -441,7 +425,6 @@ def _attempt(
         objective=task.objective,
         weights=task.weights,
         solve_cache=cache,
-        on_infeasible=on_infeasible,
         strategy=strategy,
         certify=certify,
     )
@@ -450,20 +433,16 @@ def _attempt(
         # not have, so the consistency short-circuit only applies to
         # pin-free tasks.
         if not task.pins and engine.is_consistent():
-            return "consistent", None, None, False, None, None, None
+            return "consistent", None, None, False, None, None
         outcome = engine.find_card_minimal_repair(pins=task.pins, time_limit=timeout)
     finally:
         stats_sink.extend(engine.solve_stats)
-    violations = None
-    if outcome.relaxed and outcome.violations is not None:
-        violations = [v.as_dict() for v in outcome.violations.violations]
     return (
-        "relaxed" if outcome.relaxed else "repaired",
+        "repaired",
         outcome.repair,
         outcome.objective,
         outcome.approximate,
         outcome.gap,
-        violations,
         outcome.certified,
     )
 
@@ -492,7 +471,6 @@ def execute_task(
     timeout: Optional[float] = None,
     retry_fallback: bool = True,
     cache: Optional[SolveCache] = None,
-    on_infeasible: str = "raise",
     strategy: str = "exact",
     certify: bool = True,
 ) -> BatchItemResult:
@@ -513,11 +491,8 @@ def execute_task(
     primary = task.backend or default_backend
     stats: List[SolveStats] = []
     try:
-        status, repair, objective, approximate, gap, violations, certified = (
-            _attempt(
-                task, primary, timeout, cache, stats, on_infeasible,
-                strategy, certify,
-            )
+        status, repair, objective, approximate, gap, certified = _attempt(
+            task, primary, timeout, cache, stats, strategy, certify
         )
         return BatchItemResult(
             index=index,
@@ -530,7 +505,6 @@ def execute_task(
             gap=gap,
             wall_time=time.perf_counter() - started,
             stats=stats,
-            violations=violations,
             certified=certified,
         )
     except Exception as primary_error:
@@ -553,11 +527,8 @@ def execute_task(
             )
         fallback_stats: List[SolveStats] = []
         try:
-            status, repair, objective, approximate, gap, violations, certified = (
-                _attempt(
-                    task, fallback, timeout, cache, fallback_stats, on_infeasible,
-                    strategy, certify,
-                )
+            status, repair, objective, approximate, gap, certified = _attempt(
+                task, fallback, timeout, cache, fallback_stats, strategy, certify
             )
             for record in fallback_stats:
                 record.fallback = True
@@ -575,7 +546,6 @@ def execute_task(
                 error=f"primary backend {primary!r} failed: {primary_error}",
                 wall_time=time.perf_counter() - started,
                 stats=stats,
-                violations=violations,
                 certified=certified,
             )
         except Exception as fallback_error:
@@ -737,7 +707,7 @@ def _run_chunk(payload: Tuple) -> List[BatchItemResult]:
     """Execute one chunk of entries inside a worker."""
     (
         chunk, default_backend, timeout, retry_fallback, sentinel_dir,
-        on_infeasible, strategy, certify,
+        strategy, certify,
     ) = payload
     results = []
     for index, attempt, task in chunk:
@@ -750,7 +720,6 @@ def _run_chunk(payload: Tuple) -> List[BatchItemResult]:
             timeout=timeout,
             retry_fallback=retry_fallback,
             cache=_WORKER_CACHE,
-            on_infeasible=on_infeasible,
             strategy=strategy,
             certify=certify,
         )
@@ -811,7 +780,6 @@ def _run_generation(
     sentinel_dir: str,
     fault_config: Optional[FaultConfig],
     hard_timeout: Optional[float],
-    on_infeasible: str,
     strategy: str,
     certify: bool,
     on_result: Callable[[BatchItemResult], None],
@@ -841,7 +809,6 @@ def _run_generation(
                 timeout,
                 retry_fallback,
                 sentinel_dir,
-                on_infeasible,
                 strategy,
                 certify,
             )
@@ -907,7 +874,6 @@ def _run_pool(
     retry_backoff: float,
     hard_timeout: Optional[float],
     fault_config: Optional[FaultConfig],
-    on_infeasible: str,
     strategy: str,
     certify: bool,
     on_result: Callable[[BatchItemResult], None],
@@ -955,7 +921,6 @@ def _run_pool(
                 sentinel_dir=sentinel_dir,
                 fault_config=fault_config,
                 hard_timeout=hard_timeout,
-                on_infeasible=on_infeasible,
                 strategy=strategy,
                 certify=certify,
                 on_result=on_result,
@@ -1026,7 +991,6 @@ def repair_batch(
     retry_backoff: float = 0.1,
     hard_timeout: Optional[float] = None,
     fault_config: Optional[FaultConfig] = None,
-    on_infeasible: str = "raise",
     strategy: str = "exact",
     certify: bool = True,
 ) -> BatchReport:
@@ -1058,10 +1022,7 @@ def repair_batch(
     current task has run that many wall-clock seconds (hung native
     code); the task then follows the crash/quarantine path.
     ``fault_config`` threads a chaos configuration into the workers --
-    testing only.  ``on_infeasible`` is forwarded to every task's
-    :class:`~repro.repair.engine.RepairEngine`: ``"relax"`` turns
-    infeasible tasks into ``status="relaxed"`` results carrying their
-    violation report instead of ``status="infeasible"``.
+    testing only.
 
     ``strategy`` selects the repair path for every task (``"exact"`` or
     ``"cascade"``, see :mod:`repro.repair.cascade`).  It is part of the
@@ -1076,11 +1037,6 @@ def repair_batch(
     the checkpoint journal**: a resumed run must re-derive them from
     scratch rather than replay a numerically suspect answer.
     """
-    if on_infeasible not in ON_INFEASIBLE_MODES:
-        raise ValueError(
-            f"on_infeasible must be one of {ON_INFEASIBLE_MODES}, "
-            f"got {on_infeasible!r}"
-        )
     if strategy not in STRATEGIES:
         raise ValueError(
             f"strategy must be one of {STRATEGIES}, got {strategy!r}"
@@ -1100,7 +1056,7 @@ def repair_batch(
             "n_tasks": len(task_list),
             "backend": backend,
             "timeout": timeout,
-            "on_infeasible": on_infeasible,
+            "on_infeasible": HEADER_ON_INFEASIBLE,
             "strategy": strategy,
             "certify": certify,
         }
@@ -1148,7 +1104,6 @@ def repair_batch(
                             timeout=timeout,
                             retry_fallback=retry_fallback,
                             cache=cache,
-                            on_infeasible=on_infeasible,
                             strategy=strategy,
                             certify=certify,
                         )
@@ -1194,7 +1149,6 @@ def repair_batch(
         retry_backoff=retry_backoff,
         hard_timeout=hard_timeout,
         fault_config=fault_config,
-        on_infeasible=on_infeasible,
         strategy=strategy,
         certify=certify,
         on_result=deliver,

@@ -44,6 +44,14 @@ from repro.repair.updates import AtomicUpdate, Repair
 
 JOURNAL_VERSION = 1
 
+#: The ``on_infeasible`` entry of every journal header: an unrepairable
+#: task always fails.  Older versions wrote this key too, ``"raise"`` by
+#: default, so their journals still resume; one written under their
+#: ``"relax"`` mode fails the header check of
+#: :meth:`CheckpointJournal.load_completed`, because its relaxed results
+#: are ones this code cannot produce.
+HEADER_ON_INFEASIBLE = "raise"
+
 #: The :class:`SolveStats` fields a journaled stats entry may set.
 #: Journals written by older versions can carry fields that have since
 #: been removed (such as the cut-rejection counter); loading drops them.
@@ -152,7 +160,6 @@ def result_to_record(result: "BatchItemResult", fingerprint: str) -> Dict[str, A
             for u in result.repair
         ],
         "stats": [s.as_dict() for s in result.stats],
-        "violations": result.violations,
         "certified": result.certified,
     }
 
@@ -191,7 +198,6 @@ def record_to_result(record: Dict[str, Any]) -> "BatchItemResult":  # noqa: F821
         error=record.get("error"),
         wall_time=float(record.get("wall_time", 0.0)),
         stats=stats,
-        violations=record.get("violations"),
         certified=record.get("certified"),
         resumed=True,
     )
@@ -398,7 +404,7 @@ class CheckpointJournal:
                 continue  # the input changed since the journal was written
             if (
                 require_certified
-                and record.get("status") in ("repaired", "relaxed")
+                and record.get("status") == "repaired"
                 and record.get("certified") is not True
             ):
                 continue  # uncertified tail: re-solve, never replay

@@ -44,7 +44,7 @@ from repro.diagnostics import (
 from repro.milp.cache import SolveCache
 from repro.milp.certify import Certificate, certify_database, certify_repair
 from repro.milp.deadline import Deadline
-from repro.milp.iis import IISError, extract_iis
+from repro.milp.iis import extract_iis
 from repro.milp.model import Solution, SolveStatus
 from repro.milp.solver import DEFAULT_BACKEND, SolveStats, solve_with_stats
 from repro.relational.database import Database, diff_databases
@@ -55,7 +55,6 @@ from repro.repair.cascade import (
     run_cascade,
 )
 from repro.repair.heuristic import greedy_repair
-from repro.repair.relax import RelaxationReport, relax_infeasible
 from repro.repair.translation import (
     BigMStrategy,
     ConflictReport,
@@ -68,10 +67,6 @@ from repro.repair.updates import AtomicUpdate, Repair, apply_repair
 
 #: Exact backends whose search accepts an incumbent seed.
 _SEEDABLE_BACKENDS = frozenset({"bnb", "bnb-simplex"})
-
-#: What the engine does once the MILP stays INFEASIBLE after every
-#: Big-M escalation (see ``RepairEngine(on_infeasible=...)``).
-ON_INFEASIBLE_MODES = ("raise", "explain", "relax")
 
 #: Repair strategies: ``"exact"`` translates every violation straight
 #: into ``S*(AC)``; ``"cascade"`` runs the tiered cascade of
@@ -86,15 +81,8 @@ class UnrepairableError(InfeasibleSystemError, RuntimeError):
     Part of the typed failure taxonomy (:mod:`repro.diagnostics`):
     subclasses :class:`~repro.diagnostics.InfeasibleSystemError`, and
     keeps the historical ``RuntimeError`` base for existing callers.
-
-    When raised by ``on_infeasible="explain"``, :attr:`conflict` holds
-    the :class:`~repro.repair.translation.ConflictReport` and the
-    ``infeasible_system`` detail carries its dict form.
+    :meth:`RepairEngine.explain_infeasible` names the conflict.
     """
-
-    #: The IIS mapped back to ground constraints and pins, when the
-    #: engine ran conflict extraction before raising.
-    conflict: Optional[ConflictReport] = None
 
 
 @dataclass
@@ -117,13 +105,6 @@ class RepairOutcome:
     #: ``gap`` is then the certified distance to the optimum.
     approximate: bool = False
     gap: Optional[float] = None
-    #: Elastic relaxation (``on_infeasible="relax"``): True when the
-    #: original instance was infeasible and this repair minimises
-    #: violations lexicographically instead of satisfying everything;
-    #: ``violations`` is then the structured report.  Relaxed outcomes
-    #: are never cached and never counted as exact repairs.
-    relaxed: bool = False
-    violations: Optional[RelaxationReport] = None
     #: Which strategy produced this outcome, and -- for cascades -- the
     #: per-tier report (fixes, hit/fallthrough/latency counters).
     strategy: str = "exact"
@@ -131,8 +112,7 @@ class RepairOutcome:
     #: Exact-arithmetic certification (:mod:`repro.milp.certify`):
     #: True when the repaired document was re-verified against the
     #: paper-level ground constraints in rationals, None when
-    #: certification was off (``certify=False``) or not applicable
-    #: (relaxed outcomes intentionally violate constraints).  A repair
+    #: certification was off (``certify=False``).  A repair
     #: with ``certified=False`` is never returned -- the engine
     #: escalates or raises instead.  ``certificate`` carries the
     #: document-level evidence.
@@ -145,9 +125,7 @@ class RepairOutcome:
 
     @property
     def status(self) -> str:
-        """``"relaxed"``, ``"approximate"`` or ``"optimal"``."""
-        if self.relaxed:
-            return "relaxed"
+        """``"approximate"`` or ``"optimal"``."""
         if self.approximate:
             return "approximate"
         return "optimal"
@@ -167,9 +145,7 @@ class RepairEngine:
         objective: RepairObjective = RepairObjective.CARDINALITY,
         weights: Optional[Mapping[Cell, float]] = None,
         solve_cache: Optional[SolveCache] = None,
-        presolve: bool = True,
         seed_incumbent: bool = True,
-        on_infeasible: str = "raise",
         strategy: str = "exact",
         certify: bool = True,
     ) -> None:
@@ -181,20 +157,15 @@ class RepairEngine:
         :class:`~repro.milp.solver.SolveStats` record to
         :attr:`solve_stats`.
 
-        ``presolve`` and ``seed_incumbent`` steer the branch-and-bound
-        backends (``"bnb"`` / ``"bnb-simplex"``): the former toggles
-        the MILP presolve pass, the latter seeds the search with the
+        ``seed_incumbent`` steers the branch-and-bound backends
+        (``"bnb"`` / ``"bnb-simplex"``): it seeds the search with the
         greedy repair of :mod:`repro.repair.heuristic` as an initial
-        incumbent.  Neither affects which repair is optimal.
+        incumbent, which never changes which repair is optimal.
 
-        ``on_infeasible`` selects the degradation path once the MILP
-        stays infeasible after every Big-M escalation: ``"raise"``
-        (default, historical behaviour), ``"explain"`` (run IIS
-        extraction and raise an :class:`UnrepairableError` naming the
-        conflicting ground constraints and pins), or ``"relax"``
-        (return a best-effort :class:`RepairOutcome` with
-        ``relaxed=True`` and a violation report -- see
-        :mod:`repro.repair.relax`).
+        When the MILP stays infeasible after every Big-M escalation the
+        engine raises :class:`UnrepairableError`;
+        :meth:`explain_infeasible` then names the conflicting ground
+        constraints and pins.
 
         ``strategy="cascade"`` runs the tiered repair cascade
         (:mod:`repro.repair.cascade`) before the MILP: confusion
@@ -208,14 +179,9 @@ class RepairEngine:
         exact rational arithmetic with the numerics degradation ladder
         behind them (:mod:`repro.milp.certify`), and the final repaired
         document is independently re-checked against the paper-level
-        ground constraints -- so a bug anywhere in lowering, presolve
-        or warm starts surfaces as a typed failure instead of a
+        ground constraints -- so a bug anywhere in lowering or warm
+        starts surfaces as a typed failure instead of a
         silently wrong repair."""
-        if on_infeasible not in ON_INFEASIBLE_MODES:
-            raise ValueError(
-                f"on_infeasible must be one of {ON_INFEASIBLE_MODES}, "
-                f"got {on_infeasible!r}"
-            )
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {strategy!r}"
@@ -225,13 +191,11 @@ class RepairEngine:
                 "strategy='cascade' certifies card-minimality only; use "
                 "the exact strategy for weighted objectives"
             )
-        self.on_infeasible = on_infeasible
         self.strategy = strategy
         self.certify = bool(certify)
         self.database = database
         self.constraints = list(constraints)
         self.backend = backend
-        self.presolve = presolve
         self.seed_incumbent = seed_incumbent
         self.solve_cache = solve_cache
         self.solve_stats: List[SolveStats] = []
@@ -337,8 +301,11 @@ class RepairEngine:
                     translation.big_m, escalations, self.max_escalations,
                 )
                 if escalations >= self.max_escalations:
-                    return self._conclude_infeasible(
-                        translation, pins, deadline, stats_start, escalations
+                    raise UnrepairableError(
+                        f"MILP infeasible after {escalations} Big-M "
+                        f"escalations; no repair exists within |value| <= "
+                        f"{translation.big_m:g}"
+                        + (" under the given pins" if pins else "")
                     )
                 big_m_override = translation.big_m * 100.0
                 escalations += 1
@@ -464,8 +431,6 @@ class RepairEngine:
         solution: Optional[Solution] = None
         approximate = False
         gap: Optional[float] = None
-        relaxed = False
-        violations: Optional[RelaxationReport] = None
         final = working
         if report.milp_invoked:
             deadline.check("cascade residue solve")
@@ -477,9 +442,7 @@ class RepairEngine:
                 max_escalations=self.max_escalations,
                 objective=self.objective,
                 solve_cache=self.solve_cache,
-                presolve=self.presolve,
                 seed_incumbent=self.seed_incumbent,
-                on_infeasible=self.on_infeasible,
                 certify=self.certify,
             )
             # Steady constraints make the ground system value-
@@ -505,8 +468,6 @@ class RepairEngine:
             solution = outcome.solution
             approximate = outcome.approximate
             gap = outcome.gap
-            relaxed = outcome.relaxed
-            violations = outcome.violations
             final = apply_repair(working, outcome.repair)
         repair = Repair(
             [
@@ -516,13 +477,13 @@ class RepairEngine:
                 )
             ]
         )
-        if not relaxed and not self.is_consistent(final):
+        if not self.is_consistent(final):
             raise UnrepairableError(
                 "cascade verification failed: the combined repair leaves "
                 "a ground constraint violated"
             )
         certificate: Optional[Certificate] = None
-        if self.certify and not relaxed:
+        if self.certify:
             # T3-T4 exactness gate: the finished working database is
             # replayed against every ground constraint in rationals --
             # the closed-form tiers mutate cells outside any MILP, so
@@ -551,8 +512,6 @@ class RepairEngine:
             stats=self.solve_stats[stats_start:],
             approximate=approximate,
             gap=gap,
-            relaxed=relaxed,
-            violations=violations,
             strategy="cascade",
             cascade=report,
             certified=certificate.certified if certificate else None,
@@ -562,115 +521,6 @@ class RepairEngine:
     # ------------------------------------------------------------------
     # Infeasibility forensics
     # ------------------------------------------------------------------
-
-    def _base_message(self, translation: MILPTranslation, escalations: int,
-                      pins) -> str:
-        return (
-            f"MILP infeasible after {escalations} Big-M escalations; "
-            f"no repair exists within |value| <= {translation.big_m:g}"
-            + (" under the given pins" if pins else "")
-        )
-
-    def _conflict_report(
-        self, translation: MILPTranslation, deadline: Deadline
-    ) -> ConflictReport:
-        """Run IIS extraction on *translation* and map it back.
-
-        Probes bypass the solve cache by construction (see
-        :mod:`repro.milp.iis`).  Appends one synthetic
-        :class:`~repro.milp.solver.SolveStats` record with
-        ``phase="iis"`` (``nodes`` carries the probe count).
-        """
-        started = time.perf_counter()
-        iis = extract_iis(
-            translation.model,
-            backend=self.backend,
-            deadline=deadline,
-            groups=[translation.structural_rows()],
-        )
-        self.solve_stats.append(
-            SolveStats(
-                backend=self.backend,
-                status="infeasible",
-                wall_time=time.perf_counter() - started,
-                nodes=iis.probes,
-                n_variables=translation.model.n_variables,
-                n_constraints=translation.model.n_constraints,
-                phase="iis",
-            )
-        )
-        return translation.conflict_report(iis)
-
-    def _conclude_infeasible(
-        self,
-        translation: MILPTranslation,
-        pins,
-        deadline: Deadline,
-        stats_start: int,
-        escalations: int,
-    ) -> RepairOutcome:
-        """Apply the configured ``on_infeasible`` degradation path."""
-        message = self._base_message(translation, escalations, pins)
-        if self.on_infeasible == "relax":
-            outcome = relax_infeasible(
-                translation,
-                backend=self.backend,
-                deadline=deadline,
-            )
-            self.solve_stats.extend(outcome.report.stats)
-            self._verify_relaxed(outcome)
-            logger.info(
-                "relaxed repair found: %d update(s), %d violated "
-                "constraint(s), total violation %g",
-                outcome.repair.cardinality,
-                outcome.report.n_violated,
-                outcome.report.total_violation,
-            )
-            return RepairOutcome(
-                repair=outcome.repair,
-                objective=float(outcome.objective),
-                translation=translation,
-                solution=outcome.solution,
-                escalations=escalations,
-                stats=self.solve_stats[stats_start:],
-                relaxed=True,
-                violations=outcome.report,
-            )
-        if self.on_infeasible == "explain":
-            try:
-                report = self._conflict_report(translation, deadline)
-            except IISError as error:
-                # The backend answered INFEASIBLE, yet the IIS probes
-                # found the model feasible: the two verdicts disagree,
-                # so neither a conflict nor a repair can be trusted.
-                raise UnrepairableError(
-                    f"{message} -- but conflict extraction found the "
-                    f"instance feasible ({error}); the solver's "
-                    f"infeasibility verdict is suspect, retry another "
-                    f"backend"
-                ) from error
-            error = UnrepairableError(
-                f"{message}; {report.summary()}",
-                infeasible_system=report.as_dict(),
-            )
-            error.conflict = report
-            raise error
-        raise UnrepairableError(message)
-
-    def _verify_relaxed(self, outcome) -> None:
-        """A relaxed repair may only violate what its report declares."""
-        repaired = apply_repair(self.database, outcome.repair)
-        reported = {
-            violation.ground.normalized_key()
-            for violation in outcome.report.violations
-        }
-        for violation in self.violations(repaired):
-            if violation.ground.normalized_key() not in reported:
-                raise UnrepairableError(
-                    "relaxed repair verification failed: the repaired "
-                    "instance violates a ground constraint the violation "
-                    f"report does not declare ({violation.ground.source})"
-                )
 
     def explain_infeasible(
         self,
@@ -684,6 +534,11 @@ class RepairEngine:
         and maps it back to ground constraints, pins and cells.  Raises
         :class:`~repro.milp.iis.IISError` when the instance is in fact
         repairable.
+
+        Probes bypass the solve cache by construction (see
+        :mod:`repro.milp.iis`).  Appends one synthetic
+        :class:`~repro.milp.solver.SolveStats` record with
+        ``phase="iis"`` (``nodes`` carries the probe count).
         """
         deadline = Deadline(time_limit)
         translation = translate(
@@ -706,7 +561,25 @@ class RepairEngine:
                 objective=self.objective,
                 weights=self.weights,
             )
-        return self._conflict_report(translation, deadline)
+        started = time.perf_counter()
+        iis = extract_iis(
+            translation.model,
+            backend=self.backend,
+            deadline=deadline,
+            groups=[translation.structural_rows()],
+        )
+        self.solve_stats.append(
+            SolveStats(
+                backend=self.backend,
+                status="infeasible",
+                wall_time=time.perf_counter() - started,
+                nodes=iis.probes,
+                n_variables=translation.model.n_variables,
+                n_constraints=translation.model.n_constraints,
+                phase="iis",
+            )
+        )
+        return translation.conflict_report(iis)
 
     def _solve_exact(
         self,
@@ -714,20 +587,22 @@ class RepairEngine:
         solver_options: Dict,
         deadline: Optional[Deadline] = None,
     ):
-        """One exact solve, with presolve/seeding options threaded in."""
+        """One exact solve, with the incumbent seed threaded in."""
         options = dict(solver_options)
         if deadline is not None and deadline.budget is not None:
             # Whatever budget the escalation loop has left bounds this
             # solve; every exact backend honours ``time_limit``.
             options["time_limit"] = deadline.remaining()
         seeded_objective: Optional[float] = None
-        if self.backend in _SEEDABLE_BACKENDS:
-            options.setdefault("presolve", self.presolve)
-            if self.seed_incumbent and "incumbent" not in options:
-                seed = greedy_repair(translation, deadline=deadline)
-                if seed is not None:
-                    options["incumbent"] = seed.assignment
-                    seeded_objective = seed.objective
+        if (
+            self.backend in _SEEDABLE_BACKENDS
+            and self.seed_incumbent
+            and "incumbent" not in options
+        ):
+            seed = greedy_repair(translation, deadline=deadline)
+            if seed is not None:
+                options["incumbent"] = seed.assignment
+                seeded_objective = seed.objective
         solution, stats = solve_with_stats(
             translation.model,
             backend=self.backend,

@@ -314,12 +314,12 @@ class ValidationLoop:
     ) -> bool:
         """Record the failed iteration; retract a conflicting pin if
         allowed.  Returns True when the loop can continue."""
-        conflict = getattr(error, "conflict", None)
-        if conflict is None and pins:
+        conflict = None
+        if pins:
             try:
                 conflict = self.engine.explain_infeasible(pins=pins)
             except Exception:  # forensics are best-effort here
-                conflict = None
+                pass
         entry = IterationLog(
             proposal=None,
             reviewed=[],

@@ -71,6 +71,7 @@ from repro.repair.batch import (
     respawn_delay,
 )
 from repro.repair.checkpoint import (
+    HEADER_ON_INFEASIBLE,
     CheckpointJournal,
     journal_worthy,
     task_fingerprint,
@@ -184,7 +185,6 @@ class ServiceConfig:
     backend: str = DEFAULT_BACKEND
     timeout: Optional[float] = None
     cache_size: int = DEFAULT_CACHE_SIZE
-    on_infeasible: str = "raise"
     strategy: str = "exact"
     certify: bool = True
     #: Intake queue high watermark; ``submit`` above it is refused.
@@ -405,7 +405,6 @@ class RepairService:
                         timeout=cfg.timeout,
                         retry_fallback=False,
                         cache=self.cache,
-                        on_infeasible=cfg.on_infeasible,
                         strategy=cfg.strategy,
                         certify=cfg.certify,
                     )
@@ -455,7 +454,7 @@ class RepairService:
         return {
             "backend": self.config.backend,
             "timeout": self.config.timeout,
-            "on_infeasible": self.config.on_infeasible,
+            "on_infeasible": HEADER_ON_INFEASIBLE,
             "strategy": self.config.strategy,
             "certify": self.config.certify,
         }

@@ -329,8 +329,8 @@ class ConflictReport:
     """An IIS translated back to ground constraints, pins and cells.
 
     This is the payload behind ``--explain-infeasible`` and the
-    ``infeasible_system`` diagnostic detail: the smallest set of
-    paper-level facts that cannot hold together.
+    validation loop's pin retraction: the smallest set of paper-level
+    facts that cannot hold together.
     """
 
     grounds: List[GroundConstraint] = field(default_factory=list)
@@ -375,7 +375,7 @@ class ConflictReport:
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, object]:
-        """The structured ``infeasible_system`` diagnostic payload."""
+        """The report as a JSON-safe dict."""
         return {
             "grounds": [
                 {

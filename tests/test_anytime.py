@@ -82,16 +82,12 @@ def test_node_budget_yields_incumbent_within_certified_gap(hard_instance):
     workload, database = hard_instance
     seed_note = describe_seed(derived_seeds(1)[0])
 
-    exact_engine = RepairEngine(
-        database, workload.constraints, backend="bnb", presolve=False
-    )
+    exact_engine = RepairEngine(database, workload.constraints, backend="bnb")
     exact = exact_engine.find_card_minimal_repair()
     assert not exact.approximate and exact.gap == 0.0
     assert sum(s.nodes for s in exact_engine.solve_stats) > 1, seed_note
 
-    budget_engine = RepairEngine(
-        database, workload.constraints, backend="bnb", presolve=False
-    )
+    budget_engine = RepairEngine(database, workload.constraints, backend="bnb")
     outcome = budget_engine.find_card_minimal_repair(max_nodes=1)
     assert outcome.approximate, seed_note
     assert outcome.gap is not None and outcome.gap >= 0.0
@@ -109,9 +105,7 @@ def test_wall_clock_budget_with_incumbent_is_approximate(hard_instance):
     """A tiny-but-positive wall budget: the heuristic seed survives as
     the anytime incumbent instead of the engine raising."""
     workload, database = hard_instance
-    engine = RepairEngine(
-        database, workload.constraints, backend="bnb", presolve=False
-    )
+    engine = RepairEngine(database, workload.constraints, backend="bnb")
     # Generous enough to translate + seed, far too small to prove
     # optimality on >100 nodes.
     outcome = engine.find_card_minimal_repair(time_limit=30.0, max_nodes=1)
@@ -135,8 +129,7 @@ def test_feasible_gap_solutions_are_not_cached(hard_instance):
     workload, database = hard_instance
     cache = SolveCache(16)
     engine = RepairEngine(
-        database, workload.constraints, backend="bnb", presolve=False,
-        solve_cache=cache,
+        database, workload.constraints, backend="bnb", solve_cache=cache
     )
     outcome = engine.find_card_minimal_repair(max_nodes=1)
     assert outcome.approximate
@@ -144,8 +137,7 @@ def test_feasible_gap_solutions_are_not_cached(hard_instance):
     # An exact solve of the same model afterwards is cached as usual
     # and still finds the true optimum, unpolluted by the gap result.
     engine2 = RepairEngine(
-        database, workload.constraints, backend="bnb", presolve=False,
-        solve_cache=cache,
+        database, workload.constraints, backend="bnb", solve_cache=cache
     )
     exact = engine2.find_card_minimal_repair()
     assert not exact.approximate
@@ -154,9 +146,7 @@ def test_feasible_gap_solutions_are_not_cached(hard_instance):
 
 def test_solution_gap_and_usability_flags(hard_instance):
     workload, database = hard_instance
-    engine = RepairEngine(
-        database, workload.constraints, backend="bnb", presolve=False
-    )
+    engine = RepairEngine(database, workload.constraints, backend="bnb")
     outcome = engine.find_card_minimal_repair(max_nodes=1)
     solution = outcome.solution
     assert solution.status is SolveStatus.FEASIBLE_GAP

@@ -412,7 +412,7 @@ class TestNumericsGovernor:
 
     def test_scipy_rung_strips_bnb_only_options(self):
         governor = NumericsGovernor(
-            "bnb", {"max_nodes": 50, "time_limit": 9.0, "presolve": False}
+            "bnb", {"max_nodes": 50, "time_limit": 9.0, "warm_start": False}
         )
         final = list(governor.steps())[-1]
         name, backend, options = final

@@ -423,3 +423,76 @@ def test_cascade_journal_with_a_budget_header_still_resumes(
         tasks, workers=None, checkpoint=str(checkpoint), strategy="cascade"
     )
     assert resumed.n_resumed == len(tasks)
+
+
+#: A batch journal header byte for byte as the version that had an
+#: ``on_infeasible`` option wrote it at its default, ``"raise"``.
+PRIOR_HEADER = (
+    '{"kind":"header","version":1,"n_tasks":2,"backend":"scipy",'
+    '"timeout":null,"on_infeasible":"raise","strategy":"exact","certify":true}'
+)
+
+
+def as_prior_journal(checkpoint, on_infeasible="raise"):
+    """Rewrite *checkpoint* as that version wrote it: the header under
+    *on_infeasible*, and ``"violations": null`` after every record's
+    stats."""
+    lines = checkpoint.read_text(encoding="utf-8").splitlines()
+    header = PRIOR_HEADER.replace('"raise"', json.dumps(on_infeasible))
+    records = []
+    for line in lines[1:]:
+        record = {}
+        for key, value in json.loads(line).items():
+            record[key] = value
+            if key == "stats":
+                record["violations"] = None
+        records.append(json.dumps(record, separators=(",", ":")))
+    checkpoint.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+
+
+def test_batch_header_keeps_its_bytes(tmp_path, workload):
+    tasks = [make_task(workload, s, name=f"t{i}") for i, s in enumerate(derived_seeds(2))]
+    checkpoint = tmp_path / "batch.jsonl"
+    repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+    header = checkpoint.read_text(encoding="utf-8").splitlines()[0]
+    assert header == PRIOR_HEADER
+
+
+def test_prior_batch_journal_resumes_without_solving(
+    tmp_path, workload, monkeypatch
+):
+    tasks = [make_task(workload, s, name=f"t{i}") for i, s in enumerate(derived_seeds(2))]
+    checkpoint = tmp_path / "batch.jsonl"
+    first = repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+    as_prior_journal(checkpoint)
+    assert '"violations":null' in checkpoint.read_text(encoding="utf-8")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("resume re-solved a journaled task")
+
+    monkeypatch.setattr(batch_module, "execute_task", no_solve)
+    resumed = repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+    assert resumed.n_resumed == len(tasks)
+    assert [(r.status, r.repair, r.certified) for r in resumed.results] == [
+        (r.status, r.repair, r.certified) for r in first.results
+    ]
+
+
+def test_relax_journal_is_refused(tmp_path, workload):
+    # Relaxed results are ones this code can no longer produce, so a
+    # journal written under ``on_infeasible="relax"`` must not replay.
+    tasks = [make_task(workload, s, name=f"t{i}") for i, s in enumerate(derived_seeds(2))]
+    checkpoint = tmp_path / "batch.jsonl"
+    repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+    as_prior_journal(checkpoint, on_infeasible="relax")
+    with pytest.raises(CheckpointError, match="on_infeasible='relax'"):
+        repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+
+
+def test_record_carrying_violations_still_loads():
+    record = json.loads(json.dumps(result_to_record(sample_result(), "fp")))
+    assert "violations" not in record
+    record["violations"] = None
+    revived = record_to_result(record)
+    assert revived.status == "repaired" and revived.resumed
+    assert revived.repair.updates == sample_result().repair.updates

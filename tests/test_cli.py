@@ -86,12 +86,6 @@ class TestRepair:
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(1.0)
 
-    def test_no_presolve_escape_hatch(self, project, capsys):
-        assert main(
-            ["repair", str(project), "--backend", "bnb", "--no-presolve"]
-        ) == 0
-        assert "250 -> 220" in capsys.readouterr().out
-
     def test_stats_show_new_counters(self, project, capsys):
         assert main(
             ["repair", str(project), "--backend", "bnb-simplex", "--stats"]
@@ -125,73 +119,17 @@ class TestInfeasibilityForensics:
         assert "detail_vs_aggregate" in out
         assert "CashBudget[3].Value = 999" in out
 
-    def test_on_infeasible_explain_carries_conflict_into_the_error(
-        self, project, capsys
-    ):
+    def test_contradictory_pins_exit_unrepairable(self, project, capsys):
         with pytest.raises(SystemExit) as info:
-            main(
-                ["repair", str(project), "--on-infeasible", "explain"]
-                + CONTRADICTORY_PINS
-            )
+            main(["repair", str(project)] + CONTRADICTORY_PINS)
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert "infeasible system" in err
-        assert "detail_vs_aggregate" in err
-
-    def test_on_infeasible_relax_returns_relaxed_repair(self, project, capsys):
-        code = main(
-            ["repair", str(project), "--on-infeasible", "relax"]
-            + CONTRADICTORY_PINS
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "RELAXED" in out
-        assert "detail_vs_aggregate" in out
-
-    def test_violation_report_is_written_as_json(
-        self, project, tmp_path, capsys
-    ):
-        import json
-
-        report_path = tmp_path / "violations.json"
-        code = main(
-            ["repair", str(project), "--on-infeasible", "relax",
-             "--violation-report", str(report_path)]
-            + CONTRADICTORY_PINS
-        )
-        assert code == 0
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-        assert payload["status"] == "relaxed"
-        assert payload["n_violated"] == 1
-        assert payload["violations"][0]["source"] == "detail_vs_aggregate"
-
-    def test_violation_report_on_exact_repair_is_empty(
-        self, project, tmp_path, capsys
-    ):
-        import json
-
-        report_path = tmp_path / "violations.json"
-        assert main(
-            ["repair", str(project), "--violation-report", str(report_path)]
-        ) == 0
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-        assert payload["n_violated"] == 0
-        assert payload["status"] == "optimal"
+        assert "unrepairable" in err and "under the given pins" in err
 
     def test_bad_pin_spec_errors(self, project):
         with pytest.raises(SystemExit) as info:
             main(["repair", str(project), "--pin", "CashBudget-3-Value-999"])
         assert info.value.code == 2
-
-    def test_batch_on_infeasible_relax(self, project, capsys):
-        # The pin-free project is repairable, so drive the relax path
-        # through an engine-level contradiction: none here means the
-        # flag must simply not change a feasible batch.
-        assert main(
-            ["batch", str(project), "--on-infeasible", "relax"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "repaired" in out
 
 
 class TestAnswers:

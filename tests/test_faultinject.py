@@ -53,7 +53,6 @@ CI_CHAOS_SEEDS = (11, 23, 47)
 KNOWN_STATUSES = {
     "repaired", "consistent", "unrepairable", "timeout", "invalid_input",
     "degenerate", "malformed", "unbounded", "crashed", "quarantined", "error",
-    "relaxed",
 }
 
 N_TASKS = 4
@@ -446,52 +445,26 @@ def test_contradict_tasks_scoping_and_record(ground_truth, constraints):
     assert injected[1] is tasks[1]
 
 
-def test_batch_relaxes_contradicted_tasks_and_reports_the_conflict(
-    ground_truth, constraints
-):
-    """The chaos acceptance path: contradiction fault -> RELAXED result.
+def test_batch_fails_only_the_contradicted_task(ground_truth, constraints):
+    """The chaos acceptance path: contradiction fault -> unrepairable.
 
-    Under ``on_infeasible="raise"`` the hit task fails; under
-    ``"relax"`` it completes with ``status="relaxed"`` and a violation
-    report naming exactly the injected conflict.
+    The hit task fails as ``"unrepairable"`` on both backends; the
+    spared tasks are untouched, and ``explain_infeasible`` names
+    exactly the injected conflict.
     """
     tasks = tasks_from_databases([ground_truth] * 3, constraints)
     config = FaultConfig(
         seed=13, contradiction_rate=1.0, contradiction_tasks=frozenset({1})
     )
     injected, record = contradict_tasks(tasks, config)
-
-    raised = repair_batch(injected, workers=0)
-    assert raised.results[1].status == "unrepairable"
-
-    relaxed = repair_batch(injected, workers=0, on_infeasible="relax")
-    hit = relaxed.results[1]
-    assert hit.status == "relaxed" and hit.ok
-    assert hit.violations is not None and len(hit.violations) == 1
-    assert hit.violations[0]["source"] == record[1].ground.source
-    assert hit.violations[0]["amount"] == pytest.approx(record[1].amount)
-    for spared in (relaxed.results[0], relaxed.results[2]):
-        assert spared.status == "consistent"
-        assert spared.violations is None
-    assert relaxed.n_relaxed == 1
-    assert "1 relaxed" in relaxed.summary()
-
-
-def test_relaxed_results_checkpoint_and_resume(
-    ground_truth, constraints, tmp_path
-):
-    tasks = tasks_from_databases([ground_truth] * 2, constraints)
-    config = FaultConfig(seed=13, contradiction_rate=1.0)
-    injected, record = contradict_tasks(tasks, config)
-    assert record, "every task should be hit at rate 1.0"
-    checkpoint = tmp_path / "relax.ndjson"
-    first = repair_batch(
-        injected, workers=0, on_infeasible="relax", checkpoint=str(checkpoint)
+    report = repair_batch(injected, workers=0)
+    assert [r.status for r in report.results] == [
+        "consistent", "unrepairable", "consistent"
+    ]
+    assert report.results[1].fallback_taken
+    conflict = RepairEngine(ground_truth, constraints).explain_infeasible(
+        pins=injected[1].pins
     )
-    second = repair_batch(
-        injected, workers=0, on_infeasible="relax", checkpoint=str(checkpoint)
-    )
-    for fresh, resumed in zip(first.results, second.results):
-        assert resumed.resumed
-        assert resumed.status == fresh.status
-        assert resumed.violations == fresh.violations
+    assert [g.normalized_key() for g in conflict.grounds] == [
+        record[1].ground.normalized_key()
+    ]

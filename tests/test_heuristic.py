@@ -91,7 +91,6 @@ class TestIncumbentSeeding:
             workload.constraints,
             backend=backend,
             seed_incumbent=False,
-            presolve=False,
         ).find_card_minimal_repair()
         assert seeded.objective == pytest.approx(plain.objective, abs=1e-6)
         record = seeded_engine.solve_stats[-1]

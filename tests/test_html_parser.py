@@ -99,6 +99,14 @@ class TestParsing:
         html = '<table><tr><td rowspan="99999999">a</td></tr></table>'
         assert parse_html_tables(html)[0].rows[0].cells[0].rowspan == 65534
 
+    def test_huge_rowspan_is_clipped_at_the_last_row(self):
+        html = (
+            '<table><tr><td rowspan="65534">a</td><td>b</td><td>c</td>'
+            "<td>d</td></tr></table>"
+        )
+        grid = parse_html_tables(html)[0].logical_grid()
+        assert grid == [["a", "b", "c", "d"]]
+
     def test_spans_within_limits_kept(self):
         html = '<table><tr><td rowspan="65534" colspan="1000">a</td></tr></table>'
         cell = parse_html_tables(html)[0].rows[0].cells[0]

@@ -19,10 +19,12 @@ import pytest
 
 from repro.diagnostics import SolveTimeoutError
 from repro.faultinject import inject_contradiction
+from repro.milp.cache import SolveCache
 from repro.milp.deadline import Deadline
 from repro.milp.iis import IISError, _clone_subsystem, extract_iis
 from repro.milp.model import MILPModel, SolveStatus, VarType
 from repro.milp.solver import solve
+from repro.repair.engine import RepairEngine, UnrepairableError
 from repro.repair.translation import translate
 
 from tests._seeds import derived_seeds, describe_seed
@@ -136,3 +138,34 @@ def test_presolve_short_circuit_is_consistent_with_full_probing():
     model.add_constraint(x <= 9.0, name="slack")
     iis = extract_iis(model)
     _assert_irreducible(model, iis.members)
+
+
+def test_infeasible_verdict_of_original_model_stays_cacheable(
+    ground_truth, constraints
+):
+    """An unrepairable instance raises, and the INFEASIBLE verdicts of
+    its escalation solves are facts about those models: cached.  The
+    IIS probes of the explanation are not, and leave the cache alone."""
+    injection = inject_contradiction(ground_truth, constraints, seed=23)
+    cache = SolveCache(64)
+    engine = RepairEngine(ground_truth, constraints, solve_cache=cache)
+    with pytest.raises(UnrepairableError):
+        engine.find_card_minimal_repair(pins=injection.pins)
+    assert any(
+        solution.status is SolveStatus.INFEASIBLE
+        for solution in cache._store.values()
+    )
+    cached = set(cache._store)
+    engine.explain_infeasible(pins=injection.pins)
+    assert set(cache._store) == cached
+
+
+def test_standalone_explain_infeasible(ground_truth, constraints):
+    injection = inject_contradiction(ground_truth, constraints, seed=31)
+    engine = RepairEngine(ground_truth, constraints)
+    report = engine.explain_infeasible(pins=injection.pins)
+    assert [g.normalized_key() for g in report.grounds] == [
+        injection.ground.normalized_key()
+    ]
+    assert report.pins == injection.pins
+    assert [record.phase for record in engine.solve_stats] == ["iis"]

@@ -416,6 +416,29 @@ def test_uncertified_journal_tail_is_resolved_not_replayed(tmp_path):
     assert recovered.results[0].resumed and not recovered.results[1].resumed
 
 
+def test_prior_service_journal_resumes_without_solving(tmp_path, monkeypatch):
+    """A journal from the version with an ``on_infeasible`` option: its
+    header at the default ``"raise"``, ``"violations": null`` in every
+    record.  It replays in full."""
+    from tests.test_checkpoint import PRIOR_HEADER, as_prior_journal
+
+    journal_path = tmp_path / "svc.journal"
+    tasks = _tasks(2)
+    with RepairService(ServiceConfig(checkpoint=str(journal_path))) as service:
+        clean = service.run(tasks)
+    assert journal_path.read_text().splitlines()[0] == PRIOR_HEADER
+    as_prior_journal(journal_path)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("resume re-solved a journaled task")
+
+    monkeypatch.setattr(service_module, "execute_task", no_solve)
+    with RepairService(ServiceConfig(checkpoint=str(journal_path))) as service:
+        recovered = service.run(tasks, resume=True)
+    assert _signature(recovered) == _signature(clean)
+    assert all(r.resumed for r in recovered.results)
+
+
 # ---------------------------------------------------------------------------
 # Probes
 # ---------------------------------------------------------------------------

@@ -128,10 +128,10 @@ class TestWarmStartInTheSearch:
     def test_warm_and_cold_searches_agree(self, seed):
         model = random_grounded_milp(seed)
         warm = solve_branch_and_bound(
-            model, lp_backend="simplex", warm_start=True, presolve=False
+            model, lp_backend="simplex", warm_start=True
         )
         cold = solve_branch_and_bound(
-            model, lp_backend="simplex", warm_start=False, presolve=False
+            model, lp_backend="simplex", warm_start=False
         )
         assert warm.status is cold.status, describe_seed(seed)
         if cold.status is SolveStatus.OPTIMAL:
@@ -144,7 +144,7 @@ class TestWarmStartInTheSearch:
         for seed in SEEDS:
             model = random_grounded_milp(seed)
             solution = solve_branch_and_bound(
-                model, lp_backend="simplex", warm_start=True, presolve=False
+                model, lp_backend="simplex", warm_start=True
             )
             if solution.stats.get("nodes", 0) > 1:
                 assert solution.stats["warm_start_hits"] > 0
