@@ -16,7 +16,10 @@ certification layer (``repro.milp.certify``): the same repair with
 ``certify_overhead_geomean`` per backend.  That ratio is gated by
 ``check_bench_regression.py`` against the committed baseline -- a
 fresh overhead more than 10% above it fails, catching a certification
-layer that has started taxing the hot path.
+layer that has started taxing the hot path.  Those scenarios also
+record ``certify_replays``: the certificates of the certified repair
+that the float pass left to the ``Fraction`` replay.  It is a
+deterministic count, gated like nodes and pivots; its baseline is 0.
 
 Results land in ``BENCH_milp.json`` at the repository root
 -- machine-readable, one entry per scenario -- so the trajectory is
@@ -88,13 +91,20 @@ def time_repair(database, constraints, backend: str, certify: bool) -> Dict:
     started = time.perf_counter()
     outcome = engine.find_card_minimal_repair()
     elapsed = time.perf_counter() - started
-    return {
+    record = {
         "wall_time": elapsed,
         "nodes": sum(s.nodes for s in engine.solve_stats),
         "pivots": sum(s.simplex_pivots for s in engine.solve_stats),
         "objective": outcome.objective,
         "cardinality": outcome.cardinality,
     }
+    if certify:
+        # Certificates the float pass left to the Fraction replay: the
+        # solves' own and the document certificate.
+        record["certify_replays"] = sum(
+            s.certify_replays for s in engine.solve_stats
+        ) + int(outcome.certificate.replayed)
+    return record
 
 
 def best_records(
@@ -151,6 +161,7 @@ def main() -> int:
                     / max(record["wall_time"], 1e-9),
                     "objectives_match": match,
                 }
+                record["certify_replays"] = certified["certify_replays"]
                 overhead = f"  certify {record['certify']['certify_overhead']:5.2f}x"
             entry["backends"][backend] = record
             print(

@@ -5,10 +5,13 @@ baseline and fails (exit 1) on any of:
 
 - a (scenario, backend) pair of the baseline that the fresh run no
   longer measures, or whose objective differs from the baseline's;
-- a node or pivot count more than the tolerance (default 10%) above
-  the baseline's.  The counts are deterministic, so host speed never
-  enters this gate; a count that fell by more than the tolerance is
-  reported but passes;
+- a node, pivot or certificate-replay count more than the tolerance
+  (default 10%) above the baseline's.  The counts are deterministic,
+  so host speed never enters this gate; a count that fell by more
+  than the tolerance is reported but passes.  The replay count
+  (``certify_replays``: certificates the float pass of
+  ``repro.milp.certify`` left to the ``Fraction`` replay) has a
+  baseline of 0, so any replay fails;
 - a certification overhead (``certify_overhead_geomean``) more than
   the tolerance above the baseline.  It is a *smaller-is-better* ratio
   (certify-on wall time over certify-off wall time, geomean across the
@@ -61,7 +64,8 @@ GATED_METRICS = ("warm_hit_rate",)
 OVERHEAD_METRICS = ("certify_overhead_geomean",)
 
 #: Per-(scenario, backend) work counts under gate; smaller is better.
-COUNT_METRICS = ("nodes", "pivots")
+#: ``certify_replays`` exists only for the certified pairs.
+COUNT_METRICS = ("nodes", "pivots", "certify_replays")
 
 
 def load(path: Path) -> Dict:
@@ -122,6 +126,9 @@ def check_scenarios(
         for metric in COUNT_METRICS:
             if metric not in base:
                 continue  # baseline predates this metric: nothing to gate
+            if metric not in record:
+                failures.append(f"{label}/{metric}: dropped from fresh run")
+                continue
             base_value = float(base[metric])
             fresh_value = float(record[metric])
             ceiling = base_value * (1.0 + tolerance)
@@ -136,7 +143,7 @@ def check_scenarios(
             else:
                 verdict = "ok"
             print(
-                f"{label:42s} {metric:7s} baseline {base_value:7.0f}  "
+                f"{label:42s} {metric:15s} baseline {base_value:7.0f}  "
                 f"fresh {fresh_value:7.0f}  {verdict}"
             )
     return failures

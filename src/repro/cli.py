@@ -43,6 +43,8 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -67,6 +69,29 @@ class CliError(SystemExit):
     def __init__(self, message: str) -> None:
         print(f"error: {message}", file=sys.stderr)
         super().__init__(2)
+
+
+@contextlib.contextmanager
+def _solving():
+    """Point fd 1 at standard error while the solvers run.
+
+    A native solver may print straight to fd 1: scipy's HiGHS writes
+    debug lines from inside ``scipy.optimize.milp`` on some MILP
+    solves.  Every command prints its result lines after solving
+    ends, so standard output carries only those.
+    """
+    import ctypes
+
+    sys.stdout.flush()
+    saved_stdout = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        sys.stdout.flush()
+        ctypes.CDLL(None).fflush(None)
+        os.dup2(saved_stdout, 1)
+        os.close(saved_stdout)
 
 
 def _load_project(directory: str):
@@ -135,9 +160,10 @@ def cmd_repair(args: argparse.Namespace) -> int:
     )
     if args.explain_infeasible:
         try:
-            conflict = engine.explain_infeasible(
-                pins=pins or None, time_limit=args.time_limit
-            )
+            with _solving():
+                conflict = engine.explain_infeasible(
+                    pins=pins or None, time_limit=args.time_limit
+                )
         except IISError as exc:
             print(f"repairable: {exc}")
             return 0
@@ -149,9 +175,10 @@ def cmd_repair(args: argparse.Namespace) -> int:
         print("already consistent; nothing to repair")
         return 0
     try:
-        outcome = engine.find_card_minimal_repair(
-            pins=pins or None, time_limit=args.time_limit
-        )
+        with _solving():
+            outcome = engine.find_card_minimal_repair(
+                pins=pins or None, time_limit=args.time_limit
+            )
     except SolveTimeoutError as exc:
         raise CliError(f"time limit expired with no feasible repair: {exc}")
     except UnrepairableError as exc:
@@ -221,19 +248,20 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 objective=RepairObjective(args.objective),
             )
         )
-    report = repair_batch(
-        tasks,
-        workers=args.workers,
-        timeout=args.timeout,
-        cache_size=args.cache,
-        store=args.store,
-        backend=args.backend,
-        checkpoint=args.checkpoint,
-        resume=not args.no_resume,
-        max_task_retries=args.max_task_retries,
-        strategy=args.strategy,
-        certify=args.certify,
-    )
+    with _solving():
+        report = repair_batch(
+            tasks,
+            workers=args.workers,
+            timeout=args.timeout,
+            cache_size=args.cache,
+            store=args.store,
+            backend=args.backend,
+            checkpoint=args.checkpoint,
+            resume=not args.no_resume,
+            max_task_retries=args.max_task_retries,
+            strategy=args.strategy,
+            certify=args.certify,
+        )
     for result in report.results:
         line = f"{result.name}: {result.status}"
         if result.status == "repaired":
@@ -296,7 +324,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     with RepairService(config) as service:
         service.install_signal_handlers()
-        report = service.run(tasks, resume=not args.no_resume)
+        with _solving():
+            report = service.run(tasks, resume=not args.no_resume)
         for result in report.results:
             line = f"{result.name}: {result.status}"
             if result.status == "repaired":
@@ -363,7 +392,8 @@ def cmd_answers(args: argparse.Namespace) -> int:
             except ValueError:
                 arguments.append(raw)
     engine = RepairEngine(database, constraints)
-    answer = consistent_aggregate_answer(engine, function, arguments)
+    with _solving():
+        answer = consistent_aggregate_answer(engine, function, arguments)
     print(f"{args.function}({', '.join(map(str, arguments))})")
     print(f"  value on the acquired instance: {answer.acquired_value:g}")
     print(f"  over all card-minimal repairs:  {answer}")
@@ -383,10 +413,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print("the paper's running example (Figure 3, acquired with one error):")
     for violation in engine.violations():
         print(f"  violated: {violation}")
-    outcome = engine.find_card_minimal_repair()
+    with _solving():
+        outcome = engine.find_card_minimal_repair()
     print(f"card-minimal repair: {outcome.repair}")
     operator = OracleOperator(paper_ground_truth(), acquired=database)
-    session = ValidationLoop(engine, operator).run()
+    with _solving():
+        session = ValidationLoop(engine, operator).run()
     print(f"validation: accepted after {session.iterations} iteration(s), "
           f"{session.values_inspected} value(s) inspected")
     return 0

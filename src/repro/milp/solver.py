@@ -129,10 +129,13 @@ class SolveStats:
     #: otherwise; ``certification`` names the verification level
     #: ("milp" / "not-applicable").  ``certification_failures`` counts
     #: ladder rungs whose answer the certifier rejected before this
-    #: one passed.
+    #: one passed.  ``certify_replays`` counts this solve's
+    #: certificates (every ladder rung, and the re-certification of a
+    #: cache hit) that the float pass left to the ``Fraction`` replay.
     certified: Optional[bool] = None
     certification: str = ""
     certification_failures: int = 0
+    certify_replays: int = 0
     #: Degradation-ladder accounting: every rung walked for this solve
     #: (``["as-requested"]`` when the first answer certified), and
     #: whether the returned answer came from a degraded rung.
@@ -176,6 +179,8 @@ class SolveStats:
         if self.certified is not None:
             verdict = "ok" if self.certified else "FAILED"
             flags.append(f"certified:{verdict}")
+        if self.certify_replays:
+            flags.append(f"certify-replays:{self.certify_replays}")
         if self.degraded:
             flags.append(f"ladder:{'>'.join(self.ladder_steps)}")
         if self.bland_fallbacks:
@@ -264,8 +269,9 @@ def solve_with_stats(
     first; a hit skips the backend entirely and is flagged in the
     returned :class:`SolveStats`.
 
-    With ``certify=True`` every answer is replayed against the original
-    model in exact rational arithmetic (:mod:`repro.milp.certify`).  A
+    With ``certify=True`` every answer is certified against the
+    original model (:mod:`repro.milp.certify`: a float pass under a
+    proven error bound, an exact rational replay on doubt).  A
     rejected answer is re-solved down the numerics degradation ladder
     (:class:`~repro.milp.certify.NumericsGovernor`) with the suspect
     artifact disabled; only results from the pristine first rung are
@@ -302,11 +308,13 @@ def _certified_stats(
     certificate: Certificate,
     steps: List[str],
     rejected_rungs: int,
+    replays: int,
 ) -> SolveStats:
     stats = _stats_from_solution(model, backend, solution, wall_time, cache_hit)
     stats.certified = certificate.certified
     stats.certification = certificate.level
     stats.certification_failures = rejected_rungs
+    stats.certify_replays = replays
     stats.ladder_steps = list(steps)
     stats.degraded = len(steps) > 1
     return stats
@@ -329,6 +337,7 @@ def _solve_certified(
     """
     started = time.perf_counter()
     key = None
+    replays = 0
     if cache is not None:
         key = SolveCache.key_for(model, backend, options)
         hit = cache.get(key)
@@ -338,10 +347,11 @@ def _solve_certified(
             # (it cannot be *proven* wrong from here, but it is no
             # longer proven right either).
             certificate = certify_solution(model, hit)
+            replays += certificate.replayed
             if certificate.certified:
                 return hit, _certified_stats(
                     model, backend, hit, time.perf_counter() - started,
-                    True, certificate, ["as-requested"], 0,
+                    True, certificate, ["as-requested"], 0, replays,
                 )
             # A poisoned hit must not linger in either cache tier: the
             # disk row in particular would keep serving (and failing)
@@ -355,6 +365,7 @@ def _solve_certified(
         steps.append(step)
         solution = solve(model, backend=step_backend, **step_options)
         certificate = certify_solution(model, solution)
+        replays += certificate.replayed
         if certificate.certified:
             if (
                 cache is not None
@@ -368,7 +379,7 @@ def _solve_certified(
             return solution, _certified_stats(
                 model, step_backend, solution,
                 time.perf_counter() - started, False, certificate, steps,
-                len(rung_failures),
+                len(rung_failures), replays,
             )
         rung_failures.append({"step": step, **certificate.as_dict()})
     raise NumericInstabilityError(

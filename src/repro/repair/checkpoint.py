@@ -159,9 +159,20 @@ def result_to_record(result: "BatchItemResult", fingerprint: str) -> Dict[str, A
             }
             for u in result.repair
         ],
-        "stats": [s.as_dict() for s in result.stats],
+        "stats": [_stats_entry(s) for s in result.stats],
         "certified": result.certified,
     }
+
+
+def _stats_entry(stats: SolveStats) -> Dict[str, Any]:
+    """One journaled stats entry: every field in order, except that
+    ``certify_replays`` appears only when non-zero, so a record of a
+    solve the float pass certified keeps the bytes it had before the
+    counter existed."""
+    entry = stats.as_dict()
+    if not entry["certify_replays"]:
+        del entry["certify_replays"]
+    return entry
 
 
 def record_to_result(record: Dict[str, Any]) -> "BatchItemResult":  # noqa: F821

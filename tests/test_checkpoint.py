@@ -346,6 +346,22 @@ def test_journaled_stats_entry_bytes_are_stable(tmp_path):
     assert revived == stats
 
 
+def test_journaled_certify_replays_round_trip_only_when_nonzero():
+    """A solve whose certificates the float pass settled journals the
+    bytes above; one the ``Fraction`` replay decided keeps its count."""
+    settled = SolveStats(backend="bnb", status="optimal", wall_time=0.1)
+    replayed = SolveStats(
+        backend="bnb", status="optimal", wall_time=0.1, certify_replays=2
+    )
+    result = BatchItemResult(
+        index=0, name="doc", status="repaired", stats=[settled, replayed]
+    )
+    record = json.loads(json.dumps(result_to_record(result, "fp")))
+    assert "certify_replays" not in record["stats"][0]
+    assert record["stats"][1]["certify_replays"] == 2
+    assert record_to_result(record).stats == [settled, replayed]
+
+
 def test_start_run_cuts_the_torn_tail_then_replays(tmp_path, workload):
     task = make_task(workload, derived_seeds(1)[0], name="t0")
     fingerprint = task_fingerprint(task)

@@ -160,3 +160,63 @@ class TestDemo:
         out = capsys.readouterr().out
         assert "card-minimal repair" in out
         assert "250 -> 220" in out
+
+
+class TestNativeSolverOutput:
+    """A native solver printing to fd 1 mid-solve (scipy's HiGHS does)
+    lands on standard error, not among the command's result lines."""
+
+    LINE = "native solver line"
+
+    @pytest.fixture(autouse=True)
+    def keep_signal_handlers(self):
+        """``serve`` installs SIGTERM/SIGINT drain handlers and leaves
+        them; put the previous ones back, or a process pool forked by a
+        later test would hand them to workers its watchdog must kill."""
+        import signal
+
+        saved = {
+            signum: signal.getsignal(signum)
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        yield
+        for signum, handler in saved.items():
+            signal.signal(signum, handler)
+
+    @pytest.fixture
+    def noisy_scipy(self, monkeypatch):
+        import os
+
+        from repro.milp import solver
+
+        real = solver._BACKENDS["scipy"]
+
+        def noisy(model, **options):
+            os.write(1, f"{self.LINE}\n".encode())
+            return real(model, **options)
+
+        monkeypatch.setitem(solver._BACKENDS, "scipy", noisy)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["repair", "{project}", "--backend", "scipy"], "250 -> 220"),
+            (["batch", "{project}", "--backend", "scipy"],
+             "repaired (1 value(s) changed)"),
+            (["serve", "{project}", "--backend", "scipy"],
+             "repaired (1 value(s) changed)"),
+            (["answers", "{project}", "--function", "chi2",
+              "--args", "2003,total cash receipts"], "consistent answer: 220"),
+            (["demo"], "250 -> 220"),
+        ],
+        ids=["repair", "batch", "serve", "answers", "demo"],
+    )
+    def test_native_line_goes_to_stderr(
+        self, project, capfd, noisy_scipy, argv, expected
+    ):
+        argv = [arg.format(project=project) for arg in argv]
+        assert main(argv) == 0
+        captured = capfd.readouterr()
+        assert self.LINE in captured.err
+        assert self.LINE not in captured.out
+        assert expected in captured.out
