@@ -53,7 +53,7 @@ def main() -> None:
 
     print("\n=== Supervised validation (Section 6.3) ===")
     operator = OracleOperator(paper_ground_truth(), acquired=acquired)
-    session = ValidationLoop(engine, operator).run()
+    session = ValidationLoop(engine, operator).run(first_outcome=outcome)
     print(f"  iterations: {session.iterations}")
     print(f"  values inspected by the operator: {session.values_inspected}")
     print(f"  repaired instance equals the source document: "

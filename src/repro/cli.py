@@ -418,7 +418,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"card-minimal repair: {outcome.repair}")
     operator = OracleOperator(paper_ground_truth(), acquired=database)
     with _solving():
-        session = ValidationLoop(engine, operator).run()
+        session = ValidationLoop(engine, operator).run(first_outcome=outcome)
     print(f"validation: accepted after {session.iterations} iteration(s), "
           f"{session.values_inspected} value(s) inspected")
     return 0

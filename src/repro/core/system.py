@@ -241,7 +241,9 @@ class DartSystem:
             self.scenario.ground_truth, acquired=database
         )
         loop = ValidationLoop(engine, reviewer)
-        validation = loop.run()
+        # The unpinned problem is solved once: its repair is both the
+        # first proposal and the loop's first iteration.
+        validation = loop.run(first_outcome=outcome)
         return AcquisitionSession(
             acquisition=acquisition,
             wrapping=wrapping,

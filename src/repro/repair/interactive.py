@@ -355,7 +355,15 @@ class ValidationLoop:
         )
         return True
 
-    def run(self) -> ValidationSession:
+    def run(
+        self, first_outcome: Optional[RepairOutcome] = None
+    ) -> ValidationSession:
+        """Propose, review and re-solve until the operator accepts.
+
+        *first_outcome* is ``engine.find_card_minimal_repair()``'s
+        result when the caller already holds it: iteration 1 proposes
+        it instead of solving the same unpinned problem again.
+        """
         pins: Dict[Cell, float] = {}
         pin_order: List[Cell] = []
         retracted: set = set()
@@ -367,7 +375,11 @@ class ValidationLoop:
         while iterations < self.max_iterations:
             iterations += 1
             try:
-                outcome = self.engine.find_card_minimal_repair(pins=pins)
+                outcome = (
+                    first_outcome
+                    if iterations == 1 and first_outcome is not None
+                    else self.engine.find_card_minimal_repair(pins=pins)
+                )
             except UnrepairableError as error:
                 if self._handle_infeasible(
                     error, pins, pin_order, retracted, log

@@ -238,14 +238,23 @@ class RepairService:
             else None
         )
         self._fingerprints: Dict[int, str] = {}
+        # Signal number -> the handler install_signal_handlers replaced.
+        self._replaced_handlers: Dict[int, object] = {}
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
+        """Close the store and restore the signal handlers
+        :meth:`install_signal_handlers` replaced."""
         if self._closed:
             return
         self._closed = True
+        while self._replaced_handlers:
+            signum, handler = self._replaced_handlers.popitem()
+            # ``None``: the handler was not set from Python, so the
+            # default is the closest one to put back.
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
         if self.store is not None:
             self.store.close()
 
@@ -260,15 +269,19 @@ class RepairService:
 
         The handler only flips a flag; the processing loop notices it
         *between* tasks, so the task in flight always finishes and is
-        journalled before the service stops.  Call from the main
-        thread only (a CPython ``signal`` restriction).
+        journalled before the service stops.  :meth:`close` puts the
+        replaced handlers back, so that processes forked later, such as
+        pool workers, do not inherit a handler that only sets a flag.
+        Call both from the main thread only (a CPython ``signal``
+        restriction).
         """
 
         def _request_drain(signum: int, frame: object) -> None:  # noqa: ARG001
             self._draining = True
 
-        signal.signal(signal.SIGTERM, _request_drain)
-        signal.signal(signal.SIGINT, _request_drain)
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            replaced = signal.signal(signum, _request_drain)
+            self._replaced_handlers.setdefault(signum, replaced)
 
     def request_drain(self) -> None:
         """Programmatic equivalent of receiving SIGTERM."""

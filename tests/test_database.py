@@ -96,6 +96,27 @@ class TestUpdatesAndCopies:
         with pytest.raises(KeyError):
             database.get_value("R", 42, "Value")
 
+    def test_iteration_and_selection_stay_in_id_order(self, database):
+        def order(db):
+            relation = db.relation("R")
+            return [t.tuple_id for t in relation], [
+                t.tuple_id for t in relation.select()
+            ]
+
+        # Update the first and the last tuple, then insert: an updated
+        # tuple keeps its place, an inserted one comes last.
+        database.set_value("R", 0, "Value", 10)
+        relation = database.relation("R")
+        relation.replace(2, relation.get(2).replacing("Value", 30))
+        database.insert("R", ["d", "g2", 4])
+        assert order(database) == ([0, 1, 2, 3], [0, 1, 2, 3])
+        clone = database.copy()
+        clone.set_value("R", 1, "Value", 20)
+        clone.insert("R", ["e", "g1", 5])
+        assert order(clone) == ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4])
+        assert [t["Value"] for t in clone.relation("R")] == [10, 20, 30, 4, 5]
+        assert order(database) == ([0, 1, 2, 3], [0, 1, 2, 3])
+
 
 class TestMeasureCells:
     def test_measure_cells_enumerates_all(self, database):

@@ -288,6 +288,26 @@ def test_sigterm_requests_drain(tmp_path):
         signal.signal(signal.SIGINT, previous_int)
 
 
+def test_close_restores_the_replaced_signal_handlers():
+    signals = (signal.SIGTERM, signal.SIGINT)
+    previous = {signum: signal.getsignal(signum) for signum in signals}
+    try:
+        with RepairService(ServiceConfig()) as service:
+            service.install_signal_handlers()
+            # A second install must not save the drain handler itself.
+            service.install_signal_handlers()
+            assert all(
+                signal.getsignal(signum) is not previous[signum]
+                for signum in signals
+            )
+        # Processes forked after the block (pool workers) must not
+        # inherit a handler that only sets the drain flag.
+        assert {signum: signal.getsignal(signum) for signum in signals} == previous
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
 def test_run_stops_between_tasks_when_draining(tmp_path):
     config = ServiceConfig(checkpoint=str(tmp_path / "svc.journal"))
     with RepairService(config) as service:

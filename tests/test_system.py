@@ -109,3 +109,57 @@ class TestNoisyPipeline:
         assert string_errors
         # All string damage is absorbed by the wrapper's msi binding.
         assert session.final_database == workload.ground_truth
+
+
+def _noisy_scenario(kind: str, seed: int):
+    if kind == "cash budget":
+        scenario = cash_budget_scenario(generate_cash_budget(n_years=2, seed=seed))
+        channel = OcrChannel(numeric_error_rate=0.08, string_error_rate=0.1, seed=seed)
+    else:
+        scenario = balance_sheet_scenario(
+            generate_balance_sheet(depth=2, branching=3, seed=seed)
+        )
+        channel = OcrChannel(numeric_error_rate=0.06, string_error_rate=0.04, seed=seed)
+    return scenario, channel
+
+
+class TestFirstProposalSolvedOnce:
+    @pytest.mark.parametrize(
+        "kind, seed",
+        [("cash budget", seed) for seed in (2, 3, 4, 7)]
+        + [("balance sheet", seed) for seed in (1, 2, 3, 4)],
+    )
+    def test_session_equals_a_loop_that_solves_it_again(
+        self, kind, seed, monkeypatch
+    ):
+        from repro.repair.engine import RepairEngine
+        from repro.repair.interactive import OracleOperator, ValidationLoop
+
+        scenario, channel = _noisy_scenario(kind, seed)
+        solve = RepairEngine.find_card_minimal_repair
+        unpinned = []
+
+        def counting(engine, pins=None, *args, **kwargs):
+            if not pins:
+                unpinned.append(engine)
+            return solve(engine, pins, *args, **kwargs)
+
+        monkeypatch.setattr(RepairEngine, "find_card_minimal_repair", counting)
+        session = DartSystem(scenario, ocr_channel=channel).process()
+        assert session.validation is not None
+        assert len(unpinned) == 1
+        assert session.validation.log[0].proposal == session.proposed_repair
+
+        acquired = session.acquired_database
+        replay = ValidationLoop(
+            RepairEngine(acquired, scenario.constraints),
+            OracleOperator(scenario.ground_truth, acquired=acquired),
+        ).run()
+        assert len(unpinned) == 2
+        assert session.validation.accepted_repair == replay.accepted_repair
+        assert session.validation.iterations == replay.iterations
+        assert session.validation.values_inspected == replay.values_inspected
+        assert session.validation.retractions == replay.retractions
+        assert session.validation.log == replay.log
+        assert session.validation == replay
+        assert session.final_database == scenario.ground_truth
