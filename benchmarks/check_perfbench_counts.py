@@ -5,8 +5,7 @@ fixed prefix of each workload's items, so for one seed they repeat
 exactly from run to run.  ``benchmarks/perfbench_counts.json`` records
 those of seed 1 that also do not depend on the HiGHS build solving the
 MILPs (:data:`LOCKED`).  This script compares a run's result line with
-it and exits 1, naming every recorded count that changed, and every
-workload whose traced run stopped before its prefix.
+it and exits 1, naming every recorded count that changed.
 
 Usage::
 
@@ -42,10 +41,6 @@ LOCKED: Dict[str, tuple] = {
 }
 #: Units of the metrics that can be locked; times never are.
 COUNT_UNITS = ("count", "ratio")
-#: Items each workload's counts are taken over (its ``trace_prefix``).
-PREFIX: Dict[str, int] = {
-    "sheets_pipeline": 10, "repair_bnb": 24, "service_stream": 100,
-}
 
 
 def _locked(key: str) -> bool:
@@ -63,19 +58,6 @@ def locked_counts(metrics: Dict[str, dict]) -> Dict[str, float]:
         for key, entry in sorted(metrics.items())
         if entry["unit"] in COUNT_UNITS and _locked(key)
     }
-
-
-def short_prefixes(metrics: Dict[str, dict]) -> List[str]:
-    """One line per workload whose traced run ended before its prefix."""
-    problems = []
-    for workload, prefix in PREFIX.items():
-        items = metrics.get(f"{workload}.trace.items", {}).get("value", 0)
-        if items < prefix:
-            problems.append(
-                f"{workload}: the traced run ended after {items:g} items, "
-                f"before the {prefix} its counts are taken over"
-            )
-    return problems
 
 
 def changed_counts(
@@ -96,25 +78,22 @@ def changed_counts(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("result", help="file holding the run's last stdout line")
-    parser.add_argument("--baseline", default=str(BASELINE))
     parser.add_argument(
         "--write", action="store_true",
-        help="record the run's counts in the baseline instead of checking",
+        help=f"record the run's counts in {BASELINE.name} instead of checking",
     )
     args = parser.parse_args(argv)
     metrics = json.loads(Path(args.result).read_text(encoding="utf-8"))["metrics"]
     fresh = locked_counts(metrics)
-    problems = short_prefixes(metrics)
-    if args.write and not problems:
-        Path(args.baseline).write_text(
+    if args.write:
+        BASELINE.write_text(
             json.dumps({"seed": 1, "counts": fresh}, indent=2) + "\n",
             encoding="utf-8",
         )
-        print(f"recorded {len(fresh)} counts in {args.baseline}")
+        print(f"recorded {len(fresh)} counts in {BASELINE}")
         return 0
-    if not args.write:
-        expected = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        problems += changed_counts(expected["counts"], fresh)
+    expected = json.loads(BASELINE.read_text(encoding="utf-8"))
+    problems = changed_counts(expected["counts"], fresh)
     for problem in problems:
         print(f"FAIL {problem}")
     if not problems:

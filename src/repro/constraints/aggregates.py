@@ -22,10 +22,10 @@ Besides evaluation, an aggregation function knows:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Any, Dict, List, Mapping, Sequence, Set, Tuple as PyTuple
 
 from repro.constraints.expressions import Expression, ExpressionLike, _as_expression
-from repro.relational.database import Database, EqualityIndex
+from repro.relational.database import Database
 from repro.relational.predicates import Condition
 from repro.relational.tuples import Tuple
 
@@ -69,20 +69,9 @@ class AggregationFunction:
             )
         return dict(zip(self.parameters, arguments))
 
-    def involved_tuples(
-        self,
-        database: Database,
-        arguments: Sequence[Any],
-        index: Optional[EqualityIndex] = None,
-    ) -> List[Tuple]:
-        """The set ``T_chi``: tuples of the relation where alpha holds.
-
-        An *index* over *database* looks the tuples up through alpha's
-        equality conjuncts instead of scanning; the list is the same.
-        """
+    def involved_tuples(self, database: Database, arguments: Sequence[Any]) -> List[Tuple]:
+        """The set ``T_chi``: tuples of the relation where alpha holds."""
         binding = self._binding(arguments)
-        if index is not None:
-            return index.select(self.relation, self.condition, binding)
         return database.relation(self.relation).select(self.condition, binding)
 
     def evaluate(self, database: Database, arguments: Sequence[Any]) -> float:

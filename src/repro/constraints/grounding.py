@@ -41,7 +41,7 @@ from repro.constraints.constraint import (
     ConstraintError,
     Relop,
 )
-from repro.relational.database import Database, EqualityIndex
+from repro.relational.database import Database
 from repro.relational.predicates import Const, Var
 from repro.relational.tuples import Tuple
 
@@ -193,14 +193,12 @@ def ground_one(
     constraint: AggregateConstraint,
     database: Database,
     binding: Dict[str, Any],
-    index: Optional[EqualityIndex] = None,
 ) -> GroundConstraint:
     """Build the ground inequality for one substitution *binding*.
 
     Implements the translation ``P(chi_i)`` of Section 5, generalised
     from "e is an attribute or a constant" to arbitrary (linear)
-    attribute expressions via linearization.  An *index* over
-    *database* selects each ``T_chi`` without a scan.
+    attribute expressions via linearization.
     """
     schema = database.schema
     coefficients: Dict[Cell, float] = {}
@@ -208,7 +206,7 @@ def ground_one(
     for term in constraint.terms:
         function = term.function
         arguments = term.ground_arguments(binding)
-        involved = function.involved_tuples(database, arguments, index)
+        involved = function.involved_tuples(database, arguments)
         linear = function.expression.linearize()
         constant += term.coefficient * linear.constant * len(involved)
         for row in involved:
@@ -244,14 +242,9 @@ def ground_constraints(
     (the repair engine always sets it: Section 5 shows the translation
     is unsound for non-steady constraints because ``T_chi`` may shift
     under repairs).
-
-    Every ``T_chi`` is looked up in one :class:`EqualityIndex` over
-    *database*, built for this call.  It returns exactly the tuples a
-    scan would, in the same order, so the system is the same.
     """
     system: List[GroundConstraint] = []
     seen: Set[PyTuple] = set()
-    index = EqualityIndex(database)
     for constraint in constraints:
         constraint.validate(database.schema)
         if require_steady and not constraint.is_steady(database.schema):
@@ -261,7 +254,7 @@ def ground_constraints(
                 f"attributes {sorted(witness)} occur in A(kappa) | J(kappa)"
             )
         for binding in enumerate_substitutions(constraint, database):
-            ground = ground_one(constraint, database, binding, index)
+            ground = ground_one(constraint, database, binding)
             if not ground.coefficients and Relop.holds(
                 ground.relop, ground.constant, ground.rhs
             ):

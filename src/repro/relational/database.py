@@ -32,12 +32,7 @@ from typing import (
     Tuple as PyTuple,
 )
 
-from repro.relational.predicates import (
-    TRUE,
-    Binding,
-    Condition,
-    equality_conjuncts,
-)
+from repro.relational.predicates import Binding, Condition, TRUE
 from repro.relational.schema import DatabaseSchema, RelationSchema, SchemaError
 from repro.relational.tuples import Tuple
 
@@ -219,55 +214,6 @@ class Database:
             f"{name}:{len(rel)}" for name, rel in self._relations.items()
         )
         return f"Database({parts})"
-
-
-class EqualityIndex:
-    """Selections over one database, narrowed by their equality conjuncts.
-
-    For each relation and set of attributes that a condition's
-    ``Attr = const`` or ``Attr = $var`` conjuncts constrain, the tuples
-    are bucketed by their values on those attributes, each bucket in id
-    order.  :meth:`select` tests the whole condition on the bucket of
-    the bound values only, so it returns what :meth:`Relation.select`
-    returns; a condition without such a conjunct is scanned.  Buckets
-    are built on first use from the database as it is then: keep an
-    index no longer than its database stays unchanged, such as one
-    grounding pass.
-    """
-
-    def __init__(self, database: Database) -> None:
-        self.database = database
-        # id(condition) -> (condition, its equality conjuncts); holding
-        # the condition keeps its id from being reused.
-        self._plans: Dict[int, PyTuple[Condition, PyTuple]] = {}
-        # (relation, attributes) -> values on them -> tuples in id order.
-        self._buckets: Dict[PyTuple, Dict[PyTuple, List[Tuple]]] = {}
-
-    def select(
-        self, relation_name: str, condition: Condition, binding: Binding
-    ) -> List[Tuple]:
-        """``database.relation(relation_name).select(condition, binding)``."""
-        entry = self._plans.get(id(condition))
-        if entry is None:
-            entry = self._plans[id(condition)] = (
-                condition, equality_conjuncts(condition)
-            )
-        plan = entry[1]
-        relation = self.database.relation(relation_name)
-        if not plan:
-            return relation.select(condition, binding)
-        key = (relation_name, tuple(attribute for attribute, _ in plan))
-        buckets = self._buckets.get(key)
-        if buckets is None:
-            buckets = self._buckets[key] = {}
-            for row in relation:
-                values = tuple(row[attribute] for attribute in key[1])
-                buckets.setdefault(values, []).append(row)
-        # Constants and bound variables evaluate without a tuple.
-        values = tuple(term.evaluate(None, binding) for _, term in plan)
-        return [
-            row for row in buckets.get(values, ()) if condition.holds(row, binding)
-        ]
 
 
 def diff_databases(original: Database, repaired: Database) -> List[PyTuple[str, int, str, Any, Any]]:

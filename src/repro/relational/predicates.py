@@ -22,7 +22,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Sequence, Set
-from typing import Tuple as PyTuple
 
 from repro.relational.tuples import Tuple
 
@@ -313,31 +312,6 @@ def conjunction(parts: Sequence[Condition]) -> Condition:
     if len(flattened) == 1:
         return flattened[0]
     return And(tuple(flattened))
-
-
-def equality_conjuncts(condition: Condition) -> PyTuple[PyTuple[str, Term], ...]:
-    """``(attribute, term)`` for the ``Attr = const`` and ``Attr = $var``
-    conjuncts of *condition*, sorted by attribute.
-
-    The conjuncts are the parts of nested :class:`And` nodes, or the
-    condition itself; an :class:`Or` or a :class:`Not` contributes none.
-    An attribute constrained twice keeps its first conjunct.  A tuple
-    where *condition* holds equals each term on its attribute.
-    """
-    found: Dict[str, Term] = {}
-
-    def collect(part: Condition) -> None:
-        if isinstance(part, And):
-            for inner in part.parts:
-                collect(inner)
-        elif isinstance(part, Comparison) and part.op == "=":
-            for left, right in ((part.left, part.right), (part.right, part.left)):
-                if isinstance(left, AttrRef) and isinstance(right, (Const, Var)):
-                    found.setdefault(left.name, right)
-                    return
-
-    collect(condition)
-    return tuple(sorted(found.items()))
 
 
 def equals(attribute: str, value_or_term: Any) -> Comparison:

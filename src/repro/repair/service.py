@@ -245,18 +245,32 @@ class RepairService:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Close the store and restore the signal handlers
+        """Close the store, then restore the signal handlers
         :meth:`install_signal_handlers` replaced."""
         if self._closed:
             return
         self._closed = True
-        while self._replaced_handlers:
-            signum, handler = self._replaced_handlers.popitem()
+        try:
+            if self.store is not None:
+                self.store.close()
+        finally:
+            self._restore_signal_handlers()
+
+    def _restore_signal_handlers(self) -> None:
+        for signum, handler in list(self._replaced_handlers.items()):
+            if signal.getsignal(signum) != self._request_drain:
+                # Replaced since: whoever did restores it, and follows
+                # this record past the closed service's handler below.
+                continue
+            while (
+                getattr(handler, "__func__", None) is RepairService._request_drain
+                and handler.__self__._closed
+            ):
+                handler = handler.__self__._replaced_handlers.get(signum)
             # ``None``: the handler was not set from Python, so the
             # default is the closest one to put back.
             signal.signal(signum, signal.SIG_DFL if handler is None else handler)
-        if self.store is not None:
-            self.store.close()
+            del self._replaced_handlers[signum]
 
     def __enter__(self) -> "RepairService":
         return self
@@ -275,13 +289,12 @@ class RepairService:
         Call both from the main thread only (a CPython ``signal``
         restriction).
         """
-
-        def _request_drain(signum: int, frame: object) -> None:  # noqa: ARG001
-            self._draining = True
-
         for signum in (signal.SIGTERM, signal.SIGINT):
-            replaced = signal.signal(signum, _request_drain)
+            replaced = signal.signal(signum, self._request_drain)
             self._replaced_handlers.setdefault(signum, replaced)
+
+    def _request_drain(self, signum: int, frame: object) -> None:  # noqa: ARG002
+        self._draining = True
 
     def request_drain(self) -> None:
         """Programmatic equivalent of receiving SIGTERM."""

@@ -8,38 +8,16 @@ z4-z8=z9, z14-z18=z19 (Constraint 2), z1+z9=z10, z11+z19=z20
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.constraints.aggregates import AggregationFunction
 from repro.constraints.grounding import (
     GroundingEngine,
     check_consistency,
     enumerate_substitutions,
     ground_constraints,
-    ground_one,
 )
-from repro.constraints.constraint import (
-    AggregateConstraint,
-    BodyAtom,
-    ConstraintError,
-    ConstraintTerm,
-    Relop,
-)
-from repro.constraints.expressions import attr_expr
+from repro.constraints.constraint import ConstraintError
 from repro.constraints.parser import parse_constraints
 from repro.datasets import cash_budget_constraints
-from repro.relational.database import Database, EqualityIndex
-from repro.relational.domains import Domain
-from repro.relational.predicates import (
-    And,
-    AttrRef,
-    Comparison,
-    Const,
-    Not,
-    Or,
-    Var,
-)
-from repro.relational.schema import DatabaseSchema, RelationSchema
 
 
 def cell(i: int):
@@ -174,134 +152,3 @@ class TestGroundConstraintApi:
         )
         without = ground_constraints(constraints, acquired)
         assert len(with_dupes) == len(without)
-
-
-# ---------------------------------------------------------------------------
-# Indexed grounding against the scan
-# ---------------------------------------------------------------------------
-
-SCHEMA = DatabaseSchema(
-    [
-        RelationSchema.build(
-            "R",
-            [
-                ("K", Domain.STRING),
-                ("Z", Domain.INTEGER),
-                ("X", Domain.REAL),
-                ("V", Domain.REAL),
-                ("W", Domain.INTEGER),
-            ],
-        )
-    ],
-    measure_attributes=[("R", "V"), ("R", "W")],
-)
-#: Values per non-measure attribute; 1 and 1.0, -0.0 and 0.0 collide.
-VALUES = {"K": ["a", "b", "1"], "Z": [-1, 0, 1, 2], "X": [-0.0, 0.0, 1.0, 1.5]}
-CONSTANTS = ["a", "b", "1", 0, 1, 2, -0.0, 0.0, 1.0, 1.5]
-EXPRESSIONS = [
-    attr_expr("V"),
-    attr_expr("V") + attr_expr("X"),
-    2 * attr_expr("W") - attr_expr("Z") + 0.5,
-]
-
-
-@st.composite
-def comparisons(draw):
-    attribute = AttrRef(draw(st.sampled_from(sorted(VALUES))))
-    kind = draw(st.sampled_from(["=", "= reversed", "= $", "!=", "<"]))
-    if kind == "= $":
-        return Comparison(attribute, "=", Var(draw(st.sampled_from("pq"))))
-    if kind == "<":
-        # Same sort on both sides: ordering a string against a number
-        # raises, where equality is merely false.
-        return Comparison(
-            attribute, "<", Const(draw(st.sampled_from(VALUES[attribute.name])))
-        )
-    right = draw(st.one_of(st.sampled_from(CONSTANTS), st.sampled_from("pq").map(Var)))
-    if not isinstance(right, Var):
-        right = Const(right)
-    if kind == "= reversed":
-        return Comparison(right, "=", attribute)
-    return Comparison(attribute, kind, right)
-
-
-conditions = st.recursive(
-    comparisons(),
-    lambda parts: st.one_of(
-        st.lists(parts, min_size=1, max_size=3).map(And),
-        st.lists(parts, min_size=1, max_size=2).map(Or),
-        parts.map(Not),
-    ),
-    max_leaves=5,
-)
-
-
-@st.composite
-def groundings(draw):
-    """A database over :data:`SCHEMA` and a constraint whose terms'
-    WHERE clauses are random, their parameters bound by a body atom to a
-    row's K, Z or X, or to constants."""
-    database = Database(SCHEMA)
-    for _ in range(draw(st.integers(min_value=0, max_value=8))):
-        database.insert(
-            "R",
-            [draw(st.sampled_from(VALUES[name])) for name in ("K", "Z", "X")]
-            + [draw(st.floats(-5, 5, allow_nan=False)), draw(st.integers(-5, 5))],
-        )
-    body = BodyAtom("R", [Var("k"), Var("z"), Var("x"), Var("v_"), Var("w_")])
-    terms = []
-    for position in range(draw(st.integers(min_value=1, max_value=2))):
-        function = AggregationFunction(
-            f"chi{position}",
-            "R",
-            ["p", "q"],
-            draw(st.sampled_from(EXPRESSIONS)),
-            draw(conditions),
-        )
-        arguments = [
-            draw(
-                st.one_of(
-                    st.sampled_from("kzx").map(Var),
-                    st.sampled_from(CONSTANTS).map(Const),
-                )
-            )
-            for _ in range(2)
-        ]
-        terms.append(ConstraintTerm(draw(st.sampled_from([1, -1])), function, arguments))
-    return database, AggregateConstraint("fuzz", [body], terms, Relop.EQ, 0)
-
-
-def _row(ground):
-    """A ground row with its floats' bits, coefficient order included."""
-    return (
-        ground.source,
-        ground.binding,
-        [(cell, weight.hex()) for cell, weight in ground.coefficients.items()],
-        ground.constant.hex(),
-        ground.relop,
-        ground.rhs,
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(groundings())
-def test_indexed_grounding_equals_the_scan(case):
-    database, constraint = case
-    index = EqualityIndex(database)
-    scanned_rows = []
-    for binding in enumerate_substitutions(constraint, database):
-        for term in constraint.terms:
-            arguments = term.ground_arguments(binding)
-            indexed = term.function.involved_tuples(database, arguments, index)
-            scanned = term.function.involved_tuples(database, arguments)
-            assert [id(row) for row in indexed] == [id(row) for row in scanned]
-        scanned_row = ground_one(constraint, database, binding)
-        assert _row(ground_one(constraint, database, binding, index)) == _row(
-            scanned_row
-        )
-        if scanned_row.coefficients or not Relop.holds(
-            scanned_row.relop, scanned_row.constant, scanned_row.rhs
-        ):
-            scanned_rows.append(scanned_row)
-    system = ground_constraints([constraint], database, deduplicate=False)
-    assert [_row(g) for g in system] == [_row(g) for g in scanned_rows]

@@ -308,6 +308,53 @@ def test_close_restores_the_replaced_signal_handlers():
             signal.signal(signum, handler)
 
 
+def test_services_closed_out_of_order_restore_the_first_handlers():
+    signals = (signal.SIGTERM, signal.SIGINT)
+    previous = {signum: signal.getsignal(signum) for signum in signals}
+    try:
+        first = RepairService(ServiceConfig())
+        second = RepairService(ServiceConfig())
+        first.install_signal_handlers()
+        second.install_signal_handlers()
+        first.close()
+        # The second service's handler stays until it closes ...
+        assert signal.getsignal(signal.SIGTERM) == second._request_drain
+        second.close()
+        # ... and then the closed first service's is skipped, not put back.
+        assert {signum: signal.getsignal(signum) for signum in signals} == previous
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
+def test_close_off_the_main_thread_still_closes_the_store(tmp_path):
+    import sqlite3
+    import threading
+
+    signals = (signal.SIGTERM, signal.SIGINT)
+    previous = {signum: signal.getsignal(signum) for signum in signals}
+    try:
+        service = RepairService(ServiceConfig(store=str(tmp_path / "store.sqlite")))
+        service.install_signal_handlers()
+        raised = []
+
+        def close() -> None:
+            try:
+                service.close()
+            except ValueError as error:  # signal.signal: main thread only
+                raised.append(error)
+
+        thread = threading.Thread(target=close)
+        thread.start()
+        thread.join()
+        assert raised
+        with pytest.raises(sqlite3.ProgrammingError):
+            service.store._connection.execute("SELECT 1")
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
 def test_run_stops_between_tasks_when_draining(tmp_path):
     config = ServiceConfig(checkpoint=str(tmp_path / "svc.journal"))
     with RepairService(config) as service:
