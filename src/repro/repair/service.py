@@ -259,8 +259,9 @@ class RepairService:
     def _restore_signal_handlers(self) -> None:
         for signum, handler in list(self._replaced_handlers.items()):
             if signal.getsignal(signum) != self._request_drain:
-                # Replaced since: whoever did restores it, and follows
-                # this record past the closed service's handler below.
+                # Installed over ours: its owner restores the signal,
+                # following this record past our handler once we are
+                # closed.
                 continue
             while (
                 getattr(handler, "__func__", None) is RepairService._request_drain
