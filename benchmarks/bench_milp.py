@@ -21,6 +21,14 @@ record ``certify_replays``: the certificates of the certified repair
 that the float pass left to the ``Fraction`` replay.  It is a
 deterministic count, gated like nodes and pivots; its baseline is 0.
 
+The B&B records time ``RepairEngine.find_big_m_repair``: the engine's
+default path on these backends is now the core-guided loop of
+``repro.repair.cores``, which builds no MILP.  Each (scenario, backend)
+therefore also carries a ``core_loop`` record: the default repair's
+best wall time, its cardinality, and the loop's deterministic counters
+(master rounds, cores learned, subproblem LPs), gated like nodes and
+pivots.  Its cardinality must equal the B&B objective.
+
 Results land in ``BENCH_milp.json`` at the repository root
 -- machine-readable, one entry per scenario -- so the trajectory is
 diffable.
@@ -30,6 +38,7 @@ Run directly (CI does)::
     PYTHONPATH=src python benchmarks/bench_milp.py
 
 Exits non-zero if certify-on and certify-off disagree on any
+objective, or the core loop's cardinality differs from the B&B
 objective.
 """
 
@@ -86,10 +95,10 @@ def scenarios():
 
 
 def time_repair(database, constraints, backend: str, certify: bool) -> Dict:
-    """One timed default repair."""
+    """One timed repair through the Big-M MILP and the branch and bound."""
     engine = RepairEngine(database, constraints, backend=backend, certify=certify)
     started = time.perf_counter()
-    outcome = engine.find_card_minimal_repair()
+    outcome = engine.find_big_m_repair()
     elapsed = time.perf_counter() - started
     record = {
         "wall_time": elapsed,
@@ -105,6 +114,27 @@ def time_repair(database, constraints, backend: str, certify: bool) -> Dict:
             s.certify_replays for s in engine.solve_stats
         ) + int(outcome.certificate.replayed)
     return record
+
+
+def time_core_loop(database, constraints, backend: str) -> Dict:
+    """The engine's default (core-loop) repair, best of REPEATS."""
+    records = []
+    for _ in range(REPEATS):
+        engine = RepairEngine(database, constraints, backend=backend)
+        started = time.perf_counter()
+        outcome = engine.find_card_minimal_repair()
+        elapsed = time.perf_counter() - started
+        [stats] = [s for s in engine.solve_stats if s.phase == "cores"]
+        records.append(
+            {
+                "wall_time": elapsed,
+                "cardinality": outcome.cardinality,
+                "master_rounds": stats.master_rounds,
+                "cores": stats.cores,
+                "subproblem_lps": stats.subproblem_lps,
+            }
+        )
+    return min(records, key=lambda record: record["wall_time"])
 
 
 def best_records(
@@ -163,12 +193,22 @@ def main() -> int:
                 }
                 record["certify_replays"] = certified["certify_replays"]
                 overhead = f"  certify {record['certify']['certify_overhead']:5.2f}x"
+            cores = time_core_loop(database, constraints, backend)
+            if cores["cardinality"] != round(record["objective"]):
+                diverged = True
+                print(
+                    f"CARDINALITY DIVERGENCE: {name}/{backend}: core loop "
+                    f"{cores['cardinality']} vs B&B {record['objective']}",
+                    file=sys.stderr,
+                )
+            record["core_loop"] = cores
             entry["backends"][backend] = record
             print(
                 f"{name:28s} {backend:12s} "
                 f"{record['wall_time'] * 1000:9.2f} ms "
                 f"({record['nodes']:5d} nodes, {record['pivots']:6d} pivots)"
-                f"{overhead}"
+                f"{overhead}  core loop {cores['wall_time'] * 1000:7.2f} ms "
+                f"({cores['master_rounds']} rounds, {cores['cores']} cores)"
             )
         results.append(entry)
 

@@ -5,8 +5,9 @@ baseline and fails (exit 1) on any of:
 
 - a (scenario, backend) pair of the baseline that the fresh run no
   longer measures, or whose objective differs from the baseline's;
-- a node, pivot or certificate-replay count more than the tolerance
-  (default 10%) above the baseline's.  The counts are deterministic,
+- a node, pivot, certificate-replay or core-loop count (master rounds,
+  cores learned, subproblem LPs) more than the tolerance (default 10%)
+  above the baseline's.  The counts are deterministic,
   so host speed never enters this gate; a count that fell by more
   than the tolerance is reported but passes.  The replay count
   (``certify_replays``: certificates the float pass of
@@ -64,8 +65,17 @@ GATED_METRICS = ("warm_hit_rate",)
 OVERHEAD_METRICS = ("certify_overhead_geomean",)
 
 #: Per-(scenario, backend) work counts under gate; smaller is better.
-#: ``certify_replays`` exists only for the certified pairs.
-COUNT_METRICS = ("nodes", "pivots", "certify_replays")
+#: ``certify_replays`` exists only for the certified pairs.  A dotted
+#: name reads a nested record: ``core_loop`` holds the counters of the
+#: engine's default core-guided repair.
+COUNT_METRICS = (
+    "nodes",
+    "pivots",
+    "certify_replays",
+    "core_loop.master_rounds",
+    "core_loop.cores",
+    "core_loop.subproblem_lps",
+)
 
 
 def load(path: Path) -> Dict:
@@ -80,6 +90,17 @@ def scenario_records(payload: Dict) -> Dict:
         for entry in payload.get("scenarios", [])
         for backend, record in entry.get("backends", {}).items()
     }
+
+
+def metric_value(record: Dict, metric: str):
+    """*metric* of *record*, following dots into nested records; None
+    when absent."""
+    value = record
+    for part in metric.split("."):
+        if not isinstance(value, dict) or part not in value:
+            return None
+        value = value[part]
+    return value
 
 
 def scenario_table(fresh: Dict) -> str:
@@ -124,13 +145,15 @@ def check_scenarios(
                     f"baseline {base['objective']}"
                 )
         for metric in COUNT_METRICS:
-            if metric not in base:
+            base_value = metric_value(base, metric)
+            if base_value is None:
                 continue  # baseline predates this metric: nothing to gate
-            if metric not in record:
+            fresh_value = metric_value(record, metric)
+            if fresh_value is None:
                 failures.append(f"{label}/{metric}: dropped from fresh run")
                 continue
-            base_value = float(base[metric])
-            fresh_value = float(record[metric])
+            base_value = float(base_value)
+            fresh_value = float(fresh_value)
             ceiling = base_value * (1.0 + tolerance)
             if fresh_value > ceiling:
                 verdict = "REGRESSED"
@@ -143,7 +166,7 @@ def check_scenarios(
             else:
                 verdict = "ok"
             print(
-                f"{label:42s} {metric:15s} baseline {base_value:7.0f}  "
+                f"{label:42s} {metric:24s} baseline {base_value:7.0f}  "
                 f"fresh {fresh_value:7.0f}  {verdict}"
             )
     return failures

@@ -43,8 +43,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -52,6 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.constraints.parser import parse_constraints
 from repro.diagnostics import SolveTimeoutError
 from repro.milp.cache import DEFAULT_CACHE_SIZE
+from repro.milp.scipy_backend import native_output_to_stderr
 from repro.milp.solver import DEFAULT_BACKEND, available_backends
 from repro.relational.csvio import dump_database, load_database
 from repro.relational.schematext import dump_schema, load_schema
@@ -60,7 +59,7 @@ from repro.repair.batch import RepairTask, repair_batch
 from repro.repair.cqa import consistent_aggregate_answer
 from repro.repair.engine import STRATEGIES, RepairEngine, UnrepairableError
 from repro.repair.interactive import involvement_order
-from repro.repair.translation import RepairObjective
+from repro.repair.translation import RepairObjective, translate
 
 
 class CliError(SystemExit):
@@ -69,29 +68,6 @@ class CliError(SystemExit):
     def __init__(self, message: str) -> None:
         print(f"error: {message}", file=sys.stderr)
         super().__init__(2)
-
-
-@contextlib.contextmanager
-def _solving():
-    """Point fd 1 at standard error while the solvers run.
-
-    A native solver may print straight to fd 1: scipy's HiGHS writes
-    debug lines from inside ``scipy.optimize.milp`` on some MILP
-    solves.  Every command prints its result lines after solving
-    ends, so standard output carries only those.
-    """
-    import ctypes
-
-    sys.stdout.flush()
-    saved_stdout = os.dup(1)
-    os.dup2(2, 1)
-    try:
-        yield
-    finally:
-        sys.stdout.flush()
-        ctypes.CDLL(None).fflush(None)
-        os.dup2(saved_stdout, 1)
-        os.close(saved_stdout)
 
 
 def _load_project(directory: str):
@@ -160,7 +136,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     )
     if args.explain_infeasible:
         try:
-            with _solving():
+            with native_output_to_stderr():
                 conflict = engine.explain_infeasible(
                     pins=pins or None, time_limit=args.time_limit
                 )
@@ -175,7 +151,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         print("already consistent; nothing to repair")
         return 0
     try:
-        with _solving():
+        with native_output_to_stderr():
             outcome = engine.find_card_minimal_repair(
                 pins=pins or None, time_limit=args.time_limit
             )
@@ -202,23 +178,24 @@ def cmd_repair(args: argparse.Namespace) -> int:
             print(f"    {tier_stats.tier}: {tier_stats.resolved}/"
                   f"{tier_stats.attempted} resolved, "
                   f"{tier_stats.fallthroughs} passed on")
+    translation = outcome.translation
+    if translation is None and (args.show_milp or args.export_mps):
+        # The core loop and a MILP-free cascade build no S*(AC); build
+        # it on the engine's ground system for display and export.
+        translation = translate(
+            engine.database,
+            engine.constraints,
+            pins=pins or None,
+            grounds=engine.ground_system,
+            objective=objective,
+        )
     if args.show_milp:
-        if outcome.translation is None:
-            print("\n(no MILP instance: the cascade repaired every violation "
-                  "without invoking the MILP)")
-        else:
-            print("\nMILP instance (Figure 4 layout):")
-            print(outcome.translation.format_like_figure4())
+        print("\nMILP instance (Figure 4 layout):")
+        print(translation.format_like_figure4())
     if args.export_mps:
-        if outcome.translation is None:
-            raise CliError(
-                "--export-mps: no MILP instance was built (the cascade "
-                "repaired every violation without it); rerun with "
-                "--strategy exact to force a translation"
-            )
         from repro.milp.mps import write_mps
 
-        write_mps(outcome.translation.model, args.export_mps)
+        write_mps(translation.model, args.export_mps)
         print(f"MILP instance exported to {args.export_mps} (free-form MPS)")
     if args.output:
         repaired = engine.apply(outcome.repair)
@@ -248,7 +225,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 objective=RepairObjective(args.objective),
             )
         )
-    with _solving():
+    with native_output_to_stderr():
         report = repair_batch(
             tasks,
             workers=args.workers,
@@ -324,7 +301,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     with RepairService(config) as service:
         service.install_signal_handlers()
-        with _solving():
+        with native_output_to_stderr():
             report = service.run(tasks, resume=not args.no_resume)
         for result in report.results:
             line = f"{result.name}: {result.status}"
@@ -392,7 +369,7 @@ def cmd_answers(args: argparse.Namespace) -> int:
             except ValueError:
                 arguments.append(raw)
     engine = RepairEngine(database, constraints)
-    with _solving():
+    with native_output_to_stderr():
         answer = consistent_aggregate_answer(engine, function, arguments)
     print(f"{args.function}({', '.join(map(str, arguments))})")
     print(f"  value on the acquired instance: {answer.acquired_value:g}")
@@ -413,11 +390,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print("the paper's running example (Figure 3, acquired with one error):")
     for violation in engine.violations():
         print(f"  violated: {violation}")
-    with _solving():
+    with native_output_to_stderr():
         outcome = engine.find_card_minimal_repair()
     print(f"card-minimal repair: {outcome.repair}")
     operator = OracleOperator(paper_ground_truth(), acquired=database)
-    with _solving():
+    with native_output_to_stderr():
         session = ValidationLoop(engine, operator).run(first_outcome=outcome)
     print(f"validation: accepted after {session.iterations} iteration(s), "
           f"{session.values_inspected} value(s) inspected")

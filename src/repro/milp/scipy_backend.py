@@ -8,12 +8,48 @@ in the test suite.
 
 from __future__ import annotations
 
-from typing import List
+import contextlib
+import ctypes
+import os
+import sys
+from typing import Iterator, List, Optional
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.milp.model import MILPModel, Sense, Solution, SolveStatus, VarType
+
+
+_LIBC: Optional[ctypes.CDLL] = None
+
+
+@contextlib.contextmanager
+def native_output_to_stderr() -> Iterator[None]:
+    """Point fd 1 at standard error while native solvers run.
+
+    scipy's HiGHS prints debug lines straight to fd 1 from inside
+    ``scipy.optimize.milp`` on some MILP solves, past ``sys.stdout``.
+    The CLI commands and :class:`~repro.repair.service.RepairService`
+    solve inside this block, so standard output carries only their own
+    result lines.  On exit fd 1 points where it pointed on entry, and
+    the duplicate that remembered it is closed.  Not thread-safe: fd 1
+    belongs to the whole process.
+    """
+    global _LIBC
+    if _LIBC is None:
+        _LIBC = ctypes.CDLL(None)
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        os.dup2(2, 1)
+        try:
+            yield
+        finally:
+            sys.stdout.flush()
+            _LIBC.fflush(None)
+            os.dup2(saved, 1)
+    finally:
+        os.close(saved)
 
 
 def solve_scipy(model: MILPModel, *, time_limit: float = 300.0) -> Solution:

@@ -147,6 +147,16 @@ class SolveStats:
     #: Largest basic-variable bound drift the LP cores observed beyond
     #: their feasibility tolerance (0.0 for numerically clean solves).
     numeric_drift: float = 0.0
+    #: Core-guided loop accounting (``phase="cores"`` records, see
+    #: :mod:`repro.repair.cores`): connected components of the ground
+    #: system, master solves, cores learned from infeasible supports,
+    #: LPs the subproblem solved, and components handed back to
+    #: ``S*(AC)``.  Zero on every other record.
+    components: int = 0
+    master_rounds: int = 0
+    cores: int = 0
+    subproblem_lps: int = 0
+    bigm_fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         # Every field in declaration order, containers shallow-copied.
@@ -187,6 +197,15 @@ class SolveStats:
             flags.append(f"bland-fallbacks:{self.bland_fallbacks}")
         if self.numeric_drift:
             flags.append(f"drift:{self.numeric_drift:g}")
+        if self.master_rounds:
+            flags.append(
+                f"components:{self.components} master-rounds:"
+                f"{self.master_rounds} cores:{self.cores}"
+            )
+        if self.subproblem_lps:
+            flags.append(f"subproblem-lps:{self.subproblem_lps}")
+        if self.bigm_fallbacks:
+            flags.append(f"bigm-fallbacks:{self.bigm_fallbacks}")
         if self.phase:
             flags.append(f"phase:{self.phase}")
         if self.tier:

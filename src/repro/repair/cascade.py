@@ -76,6 +76,11 @@ from repro.constraints.grounding import (
 )
 from repro.relational.database import Database
 from repro.relational.domains import Domain
+from repro.repair.cores import (
+    hitting_sets_of_size,
+    minimum_hitting_sets,
+    repair_lower_bound,
+)
 from repro.repair.heuristic import greedy_repair
 from repro.repair.translation import RepairObjective, translate
 
@@ -379,176 +384,9 @@ def _inversion_pass(
     return False
 
 
-def repair_lower_bound(
-    grounds: Sequence[GroundConstraint], database: Database
-) -> int:
-    """A sound lower bound on repair cardinality for *database*.
-
-    Every violated ground row needs at least one of its cells changed;
-    rows with pairwise-disjoint cell sets therefore force pairwise-
-    distinct changes.  A greedy packing (fewest-cells rows first) of
-    cell-disjoint violated rows is thus a valid -- if not maximal --
-    lower bound on ``|lambda(rho)|`` for any repair ``rho``.
-    """
-    violated = [g for g in grounds if not g.holds(database)]
-    violated.sort(key=lambda g: len(g.coefficients))
-    used: Set[Cell] = set()
-    bound = 0
-    for ground in violated:
-        cells = set(ground.cells())
-        if not cells:
-            # An empty violated row witnesses unrepairability; it forces
-            # no cell change, so it contributes nothing to the bound.
-            continue
-        if cells & used:
-            continue
-        used |= cells
-        bound += 1
-    return bound
-
-
-#: Search caps for the exact hitting-set machinery.  Residues reaching
-#: T3 are tiny (a handful of violated rows over a few dozen cells); the
-#: caps exist so a pathological instance degrades to "fall through to
-#: T4" instead of stalling the cascade.
-HITTING_SET_MAX_NODES = 50_000
-HITTING_SET_MAX_SOLUTIONS = 64
-
 #: Numerical tolerances for the tiny Gaussian-elimination solves.
 _PIVOT_TOL = 1e-9
 _CONSISTENCY_TOL = 1e-6
-
-
-def minimum_hitting_sets(
-    row_cells: Sequence[FrozenSet[Cell]],
-    *,
-    max_nodes: int = HITTING_SET_MAX_NODES,
-    max_solutions: int = HITTING_SET_MAX_SOLUTIONS,
-) -> PyTuple[int, List[FrozenSet[Cell]], bool, bool]:
-    """Exact minimum hitting sets of the violated-row cell sets.
-
-    Returns ``(h, solutions, certified, complete)``.  When *certified*
-    is True, ``h`` is the exact minimum number of cells needed to
-    intersect every row in *row_cells* -- a sound lower bound on repair
-    cardinality, since any repair must change at least one cell of
-    every violated row -- and *solutions* holds hitting sets of size
-    exactly ``h``.  *complete* is True when *solutions* provably lists
-    **every** size-``h`` hitting set (no node or solution cap was hit);
-    the certified support search needs that completeness for its
-    infeasibility proofs, while the greedy gate only needs ``h``.
-    When the branch-and-bound node cap is hit during the minimum-size
-    phase, the search gives up entirely: ``certified`` is False and
-    callers must fall back to a weaker bound
-    (:func:`repair_lower_bound`).
-
-    The branching rule (pick an un-hit row, branch on each of its
-    cells) is complete: every hitting set contains some cell of every
-    row, so every minimum solution appears on some branch.
-    """
-    rows = [cells for cells in row_cells if cells]
-    if not rows:
-        return 0, [frozenset()], True, True
-    nodes = 0
-    best = len(set().union(*rows))  # hitting everything is an upper bound
-
-    def search(
-        chosen: Set[Cell],
-        limit: int,
-        collect: Optional[Set[FrozenSet[Cell]]],
-    ) -> None:
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > max_nodes:
-            raise _HittingSetCapped
-        open_rows = [cells for cells in rows if not (cells & chosen)]
-        if not open_rows:
-            if collect is None:
-                best = min(best, len(chosen))
-            else:
-                if len(collect) >= max_solutions:
-                    raise _HittingSetCapped
-                collect.add(frozenset(chosen))
-            return
-        if len(chosen) >= (min(limit, best) if collect is None else limit):
-            return
-        # Branch on the most-constrained row: fewest candidate cells.
-        pivot = min(open_rows, key=lambda cells: (len(cells), sorted(cells)))
-        for cell in sorted(pivot):
-            chosen.add(cell)
-            search(chosen, limit, collect)
-            chosen.remove(cell)
-
-    try:
-        # Phase 1: find the minimum size h (depth capped at incumbent).
-        search(set(), best, None)
-    except _HittingSetCapped:
-        return 0, [], False, False
-    h = best
-    # Phase 2: collect the size-h hitting sets.  A cap here only
-    # truncates the candidate list -- h itself stays certified, but
-    # completeness (and with it the certified support search) is lost.
-    solutions: Set[FrozenSet[Cell]] = set()
-    complete = True
-    nodes = 0
-    try:
-        search(set(), h, solutions)
-    except _HittingSetCapped:
-        complete = False
-    return h, sorted(solutions, key=sorted), True, complete
-
-
-def hitting_sets_of_size(
-    row_cells: Sequence[FrozenSet[Cell]],
-    size: int,
-    *,
-    max_nodes: int = HITTING_SET_MAX_NODES,
-    max_solutions: int = HITTING_SET_MAX_SOLUTIONS,
-) -> PyTuple[List[FrozenSet[Cell]], bool]:
-    """All *irredundant* hitting sets of exactly *size* cells.
-
-    Irredundant means every chosen cell was picked to hit a row no
-    earlier pick hit -- the branch rule never extends an already-
-    complete hitting set, so redundant supersets (minimal set plus idle
-    cells) are excluded by construction; the certified support search
-    reaches those through its interacting-cell expansion instead.
-    Returns ``(solutions, complete)``; *complete* is False when a cap
-    was hit, in which case the list may be missing solutions.
-    """
-    rows = [cells for cells in row_cells if cells]
-    if not rows:
-        return ([frozenset()] if size == 0 else []), True
-    nodes = 0
-    solutions: Set[FrozenSet[Cell]] = set()
-
-    def search(chosen: Set[Cell]) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise _HittingSetCapped
-        open_rows = [cells for cells in rows if not (cells & chosen)]
-        if not open_rows:
-            if len(chosen) == size:
-                if len(solutions) >= max_solutions:
-                    raise _HittingSetCapped
-                solutions.add(frozenset(chosen))
-            return
-        if len(chosen) >= size:
-            return
-        pivot = min(open_rows, key=lambda cells: (len(cells), sorted(cells)))
-        for cell in sorted(pivot):
-            chosen.add(cell)
-            search(chosen)
-            chosen.remove(cell)
-
-    try:
-        search(set())
-    except _HittingSetCapped:
-        return sorted(solutions, key=sorted), False
-    return sorted(solutions, key=sorted), True
-
-
-class _HittingSetCapped(Exception):
-    """Internal: the hitting-set search blew its node budget."""
 
 
 #: Status labels for :func:`_solve_equality_system`.

@@ -164,14 +164,25 @@ def result_to_record(result: "BatchItemResult", fingerprint: str) -> Dict[str, A
     }
 
 
+#: Counters journaled only when non-zero, so a record that does not use
+#: them keeps the bytes it had before they existed.
+_SPARSE_COUNTERS = (
+    "certify_replays",
+    "components",
+    "master_rounds",
+    "cores",
+    "subproblem_lps",
+    "bigm_fallbacks",
+)
+
+
 def _stats_entry(stats: SolveStats) -> Dict[str, Any]:
-    """One journaled stats entry: every field in order, except that
-    ``certify_replays`` appears only when non-zero, so a record of a
-    solve the float pass certified keeps the bytes it had before the
-    counter existed."""
+    """One journaled stats entry: every field in order, except the
+    :data:`_SPARSE_COUNTERS` that are zero."""
     entry = stats.as_dict()
-    if not entry["certify_replays"]:
-        del entry["certify_replays"]
+    for name in _SPARSE_COUNTERS:
+        if not entry[name]:
+            del entry[name]
     return entry
 
 

@@ -112,7 +112,8 @@ def consistent_aggregate_answer(
             "consistent query answering is defined over card-minimal "
             "repairs; the engine must use RepairObjective.CARDINALITY"
         )
-    outcome = engine.find_card_minimal_repair(pins=pins)
+    # The Big-M path: its translation supplies the cell layout and M.
+    outcome = engine.find_big_m_repair(pins=pins)
     cardinality = outcome.cardinality
     translation = outcome.translation
     acquired_value = function.evaluate(engine.database, list(arguments))

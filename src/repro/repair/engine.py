@@ -54,6 +54,7 @@ from repro.repair.cascade import (
     CascadeReport,
     run_cascade,
 )
+from repro.repair.cores import CORE_BACKENDS, CoreInfeasible, solve_cores
 from repro.repair.heuristic import greedy_repair
 from repro.repair.translation import (
     BigMStrategy,
@@ -246,20 +247,27 @@ class RepairEngine:
         time_limit: Optional[float] = None,
         **solver_options,
     ) -> RepairOutcome:
-        """Compute a card-minimal repair (Definition 5) via ``S*(AC)``.
+        """Compute a card-minimal repair (Definition 5).
 
         ``pins`` maps cells to operator-imposed exact values
         (Section 6.3).  Raises :class:`UnrepairableError` if no repair
         exists.  The returned repair is verified against the
         constraints before being handed back.
 
+        The cardinality objective on the in-repo backends (``"bnb"``,
+        ``"bnb-simplex"``) runs the core-guided hitting-set loop of
+        :mod:`repro.repair.cores`: no Big-M, no translation, and the
+        outcome's ``translation`` and ``solution`` are None.  Every
+        other case solves ``S*(AC)`` through
+        :meth:`find_big_m_repair`, which also receives
+        *solver_options*.
+
         ``time_limit`` is a wall-clock budget (seconds) for the whole
-        computation, shared across Big-M escalations and checked on a
-        monotonic deadline inside the solver loops.  On expiry the
-        exact backends return their best incumbent as an *approximate*
-        repair (``outcome.approximate`` with a certified ``gap``); only
-        when no incumbent exists at all does the engine raise
-        :class:`~repro.diagnostics.SolveTimeoutError`.
+        computation, checked on a monotonic deadline inside the solver
+        loops.  On expiry the engine returns its best incumbent as an
+        *approximate* repair (``outcome.approximate`` with a certified
+        ``gap``) when it has one, and raises
+        :class:`~repro.diagnostics.SolveTimeoutError` otherwise.
         """
         if self.strategy == "cascade" and not pins:
             # Pins bypass the cascade: the closed-form tiers reason
@@ -267,6 +275,35 @@ class RepairEngine:
             # operator-imposed values, so a pinned request goes
             # straight to the exact path below.
             return self._solve_cascade(time_limit, solver_options)
+        if (
+            self.objective is RepairObjective.CARDINALITY
+            and self.backend in CORE_BACKENDS
+        ):
+            return self._solve_cores(pins, time_limit, solver_options)
+        return self.find_big_m_repair(pins, time_limit, **solver_options)
+
+    def find_big_m_repair(
+        self,
+        pins: Optional[Mapping[Cell, float]] = None,
+        time_limit: Optional[float] = None,
+        **solver_options,
+    ) -> RepairOutcome:
+        """Compute a minimal repair by solving the Big-M MILP ``S*(AC)``.
+
+        The paper's Section 5 path, for every backend and objective:
+        ``S*(AC)`` is translated, solved (with the greedy incumbent
+        seed on the branch-and-bound backends) and the solution read
+        back, escalating M (x100, at most ``max_escalations`` times)
+        while the MILP is infeasible, the repair fails verification or
+        a ``y`` variable sits on the bound.  The outcome carries the
+        translation and the solution.  *solver_options* go to the
+        backend (``max_nodes`` for the branch and bound, for example).
+
+        ``time_limit`` is shared across escalations.  On expiry the
+        backends return their best incumbent as an *approximate*
+        repair; only when no incumbent exists at all does the engine
+        raise :class:`~repro.diagnostics.SolveTimeoutError`.
+        """
         big_m_override: Optional[float] = None
         escalations = 0
         stats_start = len(self.solve_stats)
@@ -390,6 +427,133 @@ class RepairEngine:
             )
 
     # ------------------------------------------------------------------
+    # The core-guided loop (cardinality on the in-repo backends)
+    # ------------------------------------------------------------------
+
+    def _solve_cores(
+        self,
+        pins: Optional[Mapping[Cell, float]],
+        time_limit: Optional[float],
+        solver_options: Dict,
+    ) -> RepairOutcome:
+        """A card-minimal repair from :func:`~repro.repair.cores.solve_cores`.
+
+        A component the loop hands back (a fractional value on an
+        integer cell) is solved by :meth:`find_big_m_repair` on a child
+        engine restricted to its rows, with *solver_options*; the
+        child's records join this engine's.  Appends one
+        ``phase="cores"`` record with the loop's counters.  The repaired
+        document is certified against every ground row, as cascade
+        repairs are.
+        """
+        started = time.perf_counter()
+        stats_start = len(self.solve_stats)
+        deadline = Deadline(time_limit)
+        deadline.check("repair computation")
+        try:
+            result = solve_cores(
+                self.ground_system,
+                self.database,
+                pins=pins,
+                backend=self.backend,
+                deadline=deadline,
+            )
+        except CoreInfeasible as exc:
+            raise UnrepairableError(
+                f"no repair exists{' under the given pins' if pins else ''}: "
+                f"{exc}"
+            ) from None
+        assignment = result.assignment
+        escalations = 0
+        approximate = False
+        gap = 0.0
+        for grounds in result.fallback:
+            cells = {cell for ground in grounds for cell in ground.coefficients}
+            outcome = self._child_engine(self.database, grounds).find_big_m_repair(
+                pins={c: v for c, v in (pins or {}).items() if c in cells} or None,
+                time_limit=deadline.remaining(),
+                **solver_options,
+            )
+            self.solve_stats.extend(outcome.stats)
+            escalations += outcome.escalations
+            for update in outcome.repair:
+                assignment[update.cell] = update.new_value
+            if outcome.approximate:
+                approximate = True
+                gap += outcome.gap or 0.0
+        repair = Repair(
+            AtomicUpdate(*cell, float(self.database.get_value(*cell)), value)
+            for cell, value in assignment.items()
+        )
+        repaired = apply_repair(self.database, repair)
+        certificate: Optional[Certificate] = None
+        if self.certify:
+            certificate = certify_database(self.ground_system, repaired)
+            if not certificate.certified:
+                raise NumericInstabilityError(
+                    "core-loop repair failed exact-arithmetic database "
+                    "certification",
+                    certificate=certificate.as_dict(),
+                )
+        elif not self.is_consistent(repaired):
+            raise NumericInstabilityError(
+                "core-loop repair leaves a ground constraint violated"
+            )
+        counters = result.stats
+        self.solve_stats.append(
+            SolveStats(
+                backend=self.backend,
+                status="feasible_gap" if approximate else "optimal",
+                wall_time=time.perf_counter() - started,
+                objective=float(repair.cardinality),
+                gap=gap,
+                phase="cores",
+                certified=certificate.certified if certificate else None,
+                certification=certificate.level if certificate else "",
+                components=counters.components,
+                master_rounds=counters.master_rounds,
+                cores=counters.cores,
+                subproblem_lps=counters.subproblem_lps,
+                bigm_fallbacks=counters.bigm_fallbacks,
+            )
+        )
+        logger.info(
+            "%s repair found by the core loop: %d update(s), %d master "
+            "round(s), %d core(s) learned",
+            "approximate (anytime)" if approximate else "card-minimal",
+            repair.cardinality, counters.master_rounds, counters.cores,
+        )
+        return RepairOutcome(
+            repair=repair,
+            objective=float(repair.cardinality),
+            escalations=escalations,
+            stats=self.solve_stats[stats_start:],
+            approximate=approximate,
+            gap=gap,
+            certified=certificate.certified if certificate else None,
+            certificate=certificate,
+        )
+
+    def _child_engine(
+        self, database: Database, grounds: Sequence[GroundConstraint]
+    ) -> "RepairEngine":
+        """An engine with this one's settings over *database*, solving
+        *grounds* as its whole ground system."""
+        child = RepairEngine(
+            database,
+            self.constraints,
+            backend=self.backend,
+            big_m_strategy=self.big_m_strategy,
+            max_escalations=self.max_escalations,
+            objective=self.objective,
+            solve_cache=self.solve_cache,
+            seed_incumbent=self.seed_incumbent,
+            certify=self.certify,
+        )
+        child._grounding._system = list(grounds)
+        return child
+
+    # ------------------------------------------------------------------
     # The tiered cascade (strategy="cascade")
     # ------------------------------------------------------------------
 
@@ -434,21 +598,10 @@ class RepairEngine:
         final = working
         if report.milp_invoked:
             deadline.check("cascade residue solve")
-            child = RepairEngine(
-                working,
-                self.constraints,
-                backend=self.backend,
-                big_m_strategy=self.big_m_strategy,
-                max_escalations=self.max_escalations,
-                objective=self.objective,
-                solve_cache=self.solve_cache,
-                seed_incumbent=self.seed_incumbent,
-                certify=self.certify,
-            )
             # Steady constraints make the ground system value-
             # independent, so the system grounded on the original
             # instance is exactly S(AC) for the working copy too.
-            child._grounding._system = list(self.ground_system)
+            child = self._child_engine(working, self.ground_system)
             outcome = child.find_card_minimal_repair(
                 time_limit=(
                     deadline.remaining()

@@ -50,7 +50,8 @@ def enumerate_card_minimal_repairs(
         raise TranslationError(
             "repair enumeration is defined for the card-minimal objective"
         )
-    first = engine.find_card_minimal_repair(pins=pins)
+    # The Big-M path: the exclusion rounds below reuse its M.
+    first = engine.find_big_m_repair(pins=pins)
     optimal_cardinality = first.cardinality
     found: List[Repair] = [first.repair]
     if limit <= 1:

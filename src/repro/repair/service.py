@@ -62,6 +62,7 @@ from collections import deque
 from repro.diagnostics import OverloadedError
 from repro.faultinject import FaultConfig, chaos_backend_dispatch
 from repro.milp.cache import DEFAULT_CACHE_SIZE, SolveCache
+from repro.milp.scipy_backend import native_output_to_stderr
 from repro.milp.solver import DEFAULT_BACKEND, FALLBACK_BACKEND
 from repro.repair.batch import (
     BatchItemResult,
@@ -342,19 +343,24 @@ class RepairService:
         """Work the queue (up to *max_tasks*); returns tasks completed.
 
         Stops early when a drain has been requested; the remaining
-        tickets stay queued and are recorded by :meth:`drain`.
+        tickets stay queued and are recorded by :meth:`drain`.  Native
+        solver output goes to standard error meanwhile
+        (:func:`~repro.milp.scipy_backend.native_output_to_stderr`).
         """
         completed = 0
-        while self._queue and (max_tasks is None or completed < max_tasks):
-            if self._draining and completed > 0:
-                break
-            ticket = self._queue.popleft()
-            self._intake_latencies.append(
-                time.perf_counter() - ticket.submitted_at
-            )
-            result = self._execute(ticket.task, ticket.index)
-            self._deliver(result, ticket.task)
-            completed += 1
+        if not self._queue:
+            return completed
+        with native_output_to_stderr():
+            while self._queue and (max_tasks is None or completed < max_tasks):
+                if self._draining and completed > 0:
+                    break
+                ticket = self._queue.popleft()
+                self._intake_latencies.append(
+                    time.perf_counter() - ticket.submitted_at
+                )
+                result = self._execute(ticket.task, ticket.index)
+                self._deliver(result, ticket.task)
+                completed += 1
         return completed
 
     def drain(self) -> List[int]:
@@ -540,15 +546,18 @@ class RepairService:
                     require_certified=self.config.certify,
                 )
             )
-        for index, task in enumerate(task_list):
-            if index in self._results:
-                continue
-            if self._draining:
-                break
-            ticket_start = time.perf_counter()
-            result = self._execute(task, index)
-            self._intake_latencies.append(time.perf_counter() - ticket_start)
-            self._deliver(result, task)
+        with native_output_to_stderr():
+            for index, task in enumerate(task_list):
+                if index in self._results:
+                    continue
+                if self._draining:
+                    break
+                ticket_start = time.perf_counter()
+                result = self._execute(task, index)
+                self._intake_latencies.append(
+                    time.perf_counter() - ticket_start
+                )
+                self._deliver(result, task)
         self._next_index = max(self._next_index, len(task_list))
         if self._draining and self._journal is not None:
             manifest = Path(str(self._journal.path) + ".pending")

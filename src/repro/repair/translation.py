@@ -402,6 +402,21 @@ class ConflictReport:
         }
 
 
+def ensure_finite_grounds(grounds: Sequence[GroundConstraint]) -> None:
+    """Raise :class:`~repro.diagnostics.InvalidValueError` for a ground
+    row whose frozen constant or bound is NaN or infinite."""
+    for ground in grounds:
+        if not (math.isfinite(ground.constant) and math.isfinite(ground.rhs)):
+            # A non-measure numeric attribute (folded into the frozen
+            # constant) or a constraint bound was NaN/inf.
+            raise InvalidValueError(
+                f"ground constraint from {ground.source!r} has a non-finite "
+                f"constant ({ground.constant!r}) or bound ({ground.rhs!r}); "
+                f"a non-measure numeric cell or constraint constant is invalid",
+                relation=ground.source,
+            )
+
+
 def _fmt(value: float) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
@@ -464,16 +479,7 @@ def translate(
         domain = schema.relation(relation).domain_of(attribute)
         integer_cells.append(domain is Domain.INTEGER)
 
-    for ground in grounds:
-        if not (math.isfinite(ground.constant) and math.isfinite(ground.rhs)):
-            # A non-measure numeric attribute (folded into the frozen
-            # constant) or a constraint bound was NaN/inf.
-            raise InvalidValueError(
-                f"ground constraint from {ground.source!r} has a non-finite "
-                f"constant ({ground.constant!r}) or bound ({ground.rhs!r}); "
-                f"a non-measure numeric cell or constraint constant is invalid",
-                relation=ground.source,
-            )
+    ensure_finite_grounds(grounds)
 
     if strategy is BigMStrategy.FIXED:
         if big_m is None:

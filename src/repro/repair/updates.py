@@ -15,8 +15,8 @@ repair = number of updates = the paper's ``|lambda(rho)|``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple as PyTuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Set
 
 from repro.constraints.grounding import Cell
 from repro.relational.database import Database
@@ -27,10 +27,13 @@ class RepairError(ValueError):
     """Raised for ill-formed updates or repairs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicUpdate:
     """``<t, A, v'>``: set measure attribute *attribute* of the tuple
-    identified by ``(relation, tuple_id)`` to *new_value*."""
+    identified by ``(relation, tuple_id)`` to *new_value*.
+
+    Slotted: callers keep repairs by the thousand (the benchmark
+    harness keeps every item's answer, the service every result)."""
 
     relation: str
     tuple_id: int
@@ -77,15 +80,18 @@ class Repair:
     (:meth:`repro.repair.engine.RepairEngine.is_repair`).
     """
 
+    __slots__ = ("_updates",)
+
     def __init__(self, updates: Iterable[AtomicUpdate]) -> None:
         self._updates: List[AtomicUpdate] = []
-        self._by_cell: Dict[Cell, AtomicUpdate] = {}
+        seen: Set[Cell] = set()
         for update in updates:
-            if update.cell in self._by_cell:
+            cell = update.cell
+            if cell in seen:
                 raise RepairError(
-                    f"two atomic updates address the same cell {update.cell}"
+                    f"two atomic updates address the same cell {cell}"
                 )
-            self._by_cell[update.cell] = update
+            seen.add(cell)
             self._updates.append(update)
         # Canonical order: by cell, so repairs compare and print stably.
         self._updates.sort(key=lambda u: u.cell)
@@ -104,7 +110,11 @@ class Repair:
         return len(self._updates)
 
     def update_for(self, cell: Cell) -> Optional[AtomicUpdate]:
-        return self._by_cell.get(cell)
+        """The update touching *cell*, or None (a scan: repairs are small)."""
+        for update in self._updates:
+            if update.cell == cell:
+                return update
+        return None
 
     def restricted_to(self, cells: Iterable[Cell]) -> "Repair":
         """The sub-update touching only *cells* (used by the validator)."""

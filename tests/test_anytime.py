@@ -83,12 +83,18 @@ def test_node_budget_yields_incumbent_within_certified_gap(hard_instance):
     seed_note = describe_seed(derived_seeds(1)[0])
 
     exact_engine = RepairEngine(database, workload.constraints, backend="bnb")
-    exact = exact_engine.find_card_minimal_repair()
+    exact = exact_engine.find_big_m_repair()
     assert not exact.approximate and exact.gap == 0.0
     assert sum(s.nodes for s in exact_engine.solve_stats) > 1, seed_note
+    # The core loop, which has no node budget, proves the same optimum.
+    cores = RepairEngine(
+        database, workload.constraints, backend="bnb"
+    ).find_card_minimal_repair()
+    assert not cores.approximate and cores.gap == 0.0
+    assert cores.objective == exact.objective, seed_note
 
     budget_engine = RepairEngine(database, workload.constraints, backend="bnb")
-    outcome = budget_engine.find_card_minimal_repair(max_nodes=1)
+    outcome = budget_engine.find_big_m_repair(max_nodes=1)
     assert outcome.approximate, seed_note
     assert outcome.gap is not None and outcome.gap >= 0.0
     # The certificate: optimum lies within [incumbent - gap, incumbent].
@@ -108,7 +114,7 @@ def test_wall_clock_budget_with_incumbent_is_approximate(hard_instance):
     engine = RepairEngine(database, workload.constraints, backend="bnb")
     # Generous enough to translate + seed, far too small to prove
     # optimality on >100 nodes.
-    outcome = engine.find_card_minimal_repair(time_limit=30.0, max_nodes=1)
+    outcome = engine.find_big_m_repair(time_limit=30.0, max_nodes=1)
     assert outcome.approximate
     assert outcome.objective - outcome.gap <= outcome.objective
 
@@ -118,9 +124,10 @@ def test_expired_budget_without_incumbent_raises_typed_timeout(hard_instance):
     engine = RepairEngine(
         database, workload.constraints, backend="bnb", seed_incumbent=False
     )
-    with pytest.raises(SolveTimeoutError) as info:
-        engine.find_card_minimal_repair(time_limit=1e-9)
-    assert info.value.code == "timeout"
+    for method in (engine.find_card_minimal_repair, engine.find_big_m_repair):
+        with pytest.raises(SolveTimeoutError) as info:
+            method(time_limit=1e-9)
+        assert info.value.code == "timeout"
 
 
 def test_feasible_gap_solutions_are_not_cached(hard_instance):
@@ -131,7 +138,7 @@ def test_feasible_gap_solutions_are_not_cached(hard_instance):
     engine = RepairEngine(
         database, workload.constraints, backend="bnb", solve_cache=cache
     )
-    outcome = engine.find_card_minimal_repair(max_nodes=1)
+    outcome = engine.find_big_m_repair(max_nodes=1)
     assert outcome.approximate
     assert len(cache) == 0, "budget-dependent verdicts must not be stored"
     # An exact solve of the same model afterwards is cached as usual
@@ -139,7 +146,7 @@ def test_feasible_gap_solutions_are_not_cached(hard_instance):
     engine2 = RepairEngine(
         database, workload.constraints, backend="bnb", solve_cache=cache
     )
-    exact = engine2.find_card_minimal_repair()
+    exact = engine2.find_big_m_repair()
     assert not exact.approximate
     assert len(cache) >= 1
 
@@ -147,7 +154,7 @@ def test_feasible_gap_solutions_are_not_cached(hard_instance):
 def test_solution_gap_and_usability_flags(hard_instance):
     workload, database = hard_instance
     engine = RepairEngine(database, workload.constraints, backend="bnb")
-    outcome = engine.find_card_minimal_repair(max_nodes=1)
+    outcome = engine.find_big_m_repair(max_nodes=1)
     solution = outcome.solution
     assert solution.status is SolveStatus.FEASIBLE_GAP
     assert solution.is_usable and not solution.is_optimal

@@ -17,6 +17,7 @@ import time
 import pytest
 
 import repro.milp.solver as solver_module
+import repro.repair.engine as engine_module
 from repro.acquisition.ocr import inject_value_errors
 from repro.datasets import generate_cash_budget
 from repro.milp.cache import SolveCache
@@ -244,8 +245,14 @@ def test_both_attempts_timing_out_reports_timeout(corpus, monkeypatch):
             deadline.check()
             time.sleep(0.002)
 
+    def exhaust_cores(grounds, database, *, deadline, **kw):
+        while True:
+            deadline.check()
+            time.sleep(0.002)
+
     monkeypatch.setitem(solver_module._BACKENDS, "scipy", exhaust)
-    monkeypatch.setitem(solver_module._BACKENDS, "bnb", exhaust)
+    # The bnb fallback repairs through the core loop, not a MILP.
+    monkeypatch.setattr(engine_module, "solve_cores", exhaust_cores)
     result = execute_task(
         RepairTask(databases[0], workload.constraints),
         0,

@@ -1036,11 +1036,14 @@ class TestFloatPassRuns:
 
     @pytest.mark.parametrize("backend", ["bnb", "bnb-simplex", "scipy"])
     def test_paper_instance_settles_on_every_backend(self, backend):
+        """On both the engine's default path (the core loop on the
+        in-repo backends, Big-M on scipy) and the Big-M MILP."""
         database, constraints = corrupted_paper_task()
         engine = RepairEngine(database, constraints, backend=backend)
-        outcome = engine.find_card_minimal_repair()
-        assert outcome.certified is True
-        assert outcome.certificate.replayed is False
+        for method in (engine.find_card_minimal_repair, engine.find_big_m_repair):
+            outcome = method()
+            assert outcome.certified is True
+            assert outcome.certificate.replayed is False
         assert engine.solve_stats
         assert all(s.certify_replays == 0 for s in engine.solve_stats)
 

@@ -91,6 +91,14 @@ class TestRepair:
             ["repair", str(project), "--backend", "bnb-simplex", "--stats"]
         ) == 0
         out = capsys.readouterr().out
+        assert "components:2 master-rounds:1 cores:0" in out
+        assert "phase:cores" in out
+        # The weighted objective stays on the seeded branch and bound.
+        assert main(
+            ["repair", str(project), "--backend", "bnb-simplex", "--stats",
+             "--objective", "weighted-cardinality"]
+        ) == 0
+        out = capsys.readouterr().out
         assert "seeded(gap=" in out
 
 

@@ -85,13 +85,13 @@ class TestIncumbentSeeding:
         seeded_engine = RepairEngine(
             corrupted, workload.constraints, backend=backend
         )
-        seeded = seeded_engine.find_card_minimal_repair()
+        seeded = seeded_engine.find_big_m_repair()
         plain = RepairEngine(
             corrupted,
             workload.constraints,
             backend=backend,
             seed_incumbent=False,
-        ).find_card_minimal_repair()
+        ).find_big_m_repair()
         assert seeded.objective == pytest.approx(plain.objective, abs=1e-6)
         record = seeded_engine.solve_stats[-1]
         if record.heuristic_seeded:
@@ -106,5 +106,5 @@ class TestIncumbentSeeding:
             backend="bnb",
             seed_incumbent=False,
         )
-        engine.find_card_minimal_repair()
+        engine.find_big_m_repair()
         assert not engine.solve_stats[-1].heuristic_seeded

@@ -148,6 +148,46 @@ def test_submitted_work_completes_with_results(tmp_path):
         assert service.intake_latency(0.5) > 0.0
 
 
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_native_solver_output_goes_to_stderr(capfd, monkeypatch):
+    """scipy's HiGHS prints to fd 1 from inside a MILP solve; a library
+    caller of the service keeps standard output for its own lines, and
+    every request leaves fd 1 and the descriptor count as it found
+    them."""
+    from repro.acquisition.ocr import inject_value_errors
+    from repro.datasets import generate_cash_budget
+    from repro.milp import solver
+
+    real = solver._BACKENDS["scipy"]
+
+    def noisy(model, **options):
+        os.write(1, b"native solver line\n")
+        return real(model, **options)
+
+    monkeypatch.setitem(solver._BACKENDS, "scipy", noisy)
+    workload = generate_cash_budget(n_years=2, seed=0)
+    database, _ = inject_value_errors(workload.ground_truth, 8, seed=0)
+    stdout_before = os.fstat(1)
+    descriptors = _open_descriptors()
+    with RepairService(ServiceConfig(strategy="cascade")) as service:
+        for _ in range(3):
+            service.submit(RepairTask(database, workload.constraints))
+            assert service.process_pending() == 1
+        assert service.process_pending() == 0  # an empty queue
+        print("result line")
+        result = service.result(0)
+    assert result.status == "repaired"
+    assert _open_descriptors() == descriptors
+    assert os.fstat(1).st_ino == stdout_before.st_ino
+    out, err = capfd.readouterr()
+    assert "native solver line" in err
+    assert "native solver line" not in out
+    assert "result line" in out
+
+
 def test_intake_percentiles_cover_the_latest_window(monkeypatch):
     # Twelve tickets submitted at t=0 and served one per second wait
     # 0, 1, ..., 11 s; a window of 8 keeps only the waits 4..11.

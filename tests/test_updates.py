@@ -1,5 +1,7 @@
 """Unit tests for atomic updates and repairs (Definitions 2-4)."""
 
+import pickle
+
 import pytest
 
 from repro.repair.updates import AtomicUpdate, Repair, RepairError, apply_repair
@@ -68,6 +70,37 @@ class TestRepair:
     def test_equality_and_hash(self):
         assert Repair([update()]) == Repair([update()])
         assert hash(Repair([update()])) == hash(Repair([update()]))
+
+
+class TestKeptRepairs:
+    """Callers keep repairs by the thousand, and batch workers pickle
+    them: slotted objects, no per-repair cell map."""
+
+    def test_no_instance_dict(self):
+        u = update()
+        assert not hasattr(u, "__dict__")
+        assert not hasattr(Repair([u]), "__dict__")
+
+    def test_pickle_round_trip(self):
+        repair = Repair([update(), update(tuple_id=4, old=1, new=2.5)])
+        clone = pickle.loads(pickle.dumps(repair))
+        assert clone == repair
+        assert clone.updates == repair.updates
+        assert clone.update_for(("CashBudget", 4, "Value")).new_value == 2.5
+
+    def test_update_for_present_and_absent_cells(self):
+        first = update(tuple_id=1, old=1, new=2)
+        second = update(tuple_id=7, old=3, new=4)
+        repair = Repair([second, first])
+        assert repair.update_for(("CashBudget", 7, "Value")) is second
+        assert repair.update_for(("CashBudget", 1, "Value")) is first
+        assert repair.update_for(("CashBudget", 1, "Other")) is None
+        assert Repair([]).update_for(first.cell) is None
+
+    def test_duplicate_cell_names_the_cell(self):
+        with pytest.raises(RepairError, match=r"same cell \('CashBudget', 3"):
+            Repair([update(new=220), update(tuple_id=4, old=1, new=2),
+                    update(new=230)])
 
 
 class TestApplyRepair:
