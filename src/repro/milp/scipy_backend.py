@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import sys
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -20,7 +21,13 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from repro.milp.model import MILPModel, Sense, Solution, SolveStatus, VarType
 
 
-_LIBC: Optional[ctypes.CDLL] = None
+@functools.cache
+def _c_fflush():
+    """The C library's ``fflush``, typed (looked up once per process)."""
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes = [ctypes.c_void_p]
+    fflush.restype = ctypes.c_int
+    return fflush
 
 
 @contextlib.contextmanager
@@ -35,9 +42,7 @@ def native_output_to_stderr() -> Iterator[None]:
     the duplicate that remembered it is closed.  Not thread-safe: fd 1
     belongs to the whole process.
     """
-    global _LIBC
-    if _LIBC is None:
-        _LIBC = ctypes.CDLL(None)
+    fflush = _c_fflush()
     sys.stdout.flush()
     saved = os.dup(1)
     try:
@@ -46,7 +51,7 @@ def native_output_to_stderr() -> Iterator[None]:
             yield
         finally:
             sys.stdout.flush()
-            _LIBC.fflush(None)
+            fflush(None)  # C stdio buffers, before fd 1 moves back
             os.dup2(saved, 1)
     finally:
         os.close(saved)

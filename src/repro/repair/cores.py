@@ -236,7 +236,6 @@ class _Component:
         database: Database,
     ) -> None:
         schema = database.schema
-        self.grounds = grounds
         self.cells = cells
         index = {cell: j for j, cell in enumerate(cells)}
         self.values = [values[cell] for cell in cells]
@@ -393,14 +392,11 @@ def _subproblem(
     """
     columns = _bits(support)
     touched = sorted({r for j in columns for r in component.by_column[j]})
-    equalities = [
-        component.rows[r].copy() for r in touched if component.rows[r].equality
-    ]
-    passive = [
-        component.rows[r].copy()
-        for r in touched
-        if not component.rows[r].equality
-    ]
+    equalities: List[_Row] = []
+    passive: List[_Row] = []  # <= rows: reduced, never pivots
+    for r in touched:
+        row = component.rows[r]
+        (equalities if row.equality else passive).append(row.copy())
     for j in columns:
         upper, lower = component.upper[j], component.lower[j]
         if upper is not None:

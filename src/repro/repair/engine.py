@@ -4,9 +4,12 @@
 aggregate constraints and answers:
 
 - ``is_consistent()`` / ``violations()`` -- the detection step;
-- ``find_card_minimal_repair(pins=...)`` -- the MILP-based computation
-  of a card-minimal repair, with operator pins from the validation
-  loop folded in as additional equality constraints;
+- ``find_card_minimal_repair(pins=...)`` -- a card-minimal repair, with
+  operator pins from the validation loop held fixed: from the
+  core-guided hitting-set loop of :mod:`repro.repair.cores` on the
+  in-repo backends, from the MILP ``S*(AC)`` otherwise;
+- ``find_big_m_repair(pins=...)`` -- the MILP-based computation on any
+  backend, pins folded in as additional equality constraints;
 - ``apply(repair)`` / ``is_repair(repair)`` -- repair application and
   verification.
 
@@ -439,7 +442,8 @@ class RepairEngine:
         """A card-minimal repair from :func:`~repro.repair.cores.solve_cores`.
 
         A component the loop hands back (a fractional value on an
-        integer cell) is solved by :meth:`find_big_m_repair` on a child
+        integer cell, a dropped Farkas certificate) is solved by
+        :meth:`find_big_m_repair` on a child
         engine restricted to its rows, with *solver_options*; the
         child's records join this engine's.  Appends one
         ``phase="cores"`` record with the loop's counters.  The repaired

@@ -86,6 +86,25 @@ class TestRepair:
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("argv", [
+        ["--backend", "bnb"],        # the core loop builds no S*(AC)
+        ["--strategy", "cascade"],   # the cascade repairs without it
+    ])
+    def test_show_and_export_build_the_milp_when_no_solve_did(
+        self, project, tmp_path, capsys, argv
+    ):
+        target = tmp_path / "instance.mps"
+        assert main(
+            ["repair", str(project), "--show-milp", "--export-mps", str(target)]
+            + argv
+        ) == 0
+        out = capsys.readouterr().out
+        assert "250 -> 220" in out
+        assert "y4 = z4 - 250" in out
+        from repro.milp import read_mps, solve
+
+        assert solve(read_mps(target)).objective == pytest.approx(1.0)
+
     def test_stats_show_new_counters(self, project, capsys):
         assert main(
             ["repair", str(project), "--backend", "bnb-simplex", "--stats"]

@@ -18,8 +18,10 @@ Seeds honour ``REPRO_TEST_SEED`` (``tests/_seeds.py``).
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -488,3 +490,37 @@ def test_dense_balance_sheet_returns_the_ground_truth():
     assert session.final_database == scenario.ground_truth
     first = session.solve_stats[0]
     assert first.phase == "cores" and first.cores > 0
+
+
+# ---------------------------------------------------------------------------
+# The bench gate reads the core-loop counters
+# ---------------------------------------------------------------------------
+
+
+def test_bench_gate_counts_core_loop_work():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / (
+        "check_bench_regression.py"
+    )
+    spec = importlib.util.spec_from_file_location("check_bench_regression", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+
+    def payload(rounds):
+        record = {"objective": 2.0, "nodes": 3, "pivots": 5, "wall_time": 0.1}
+        if rounds is not None:
+            record["core_loop"] = {
+                "wall_time": 0.01, "cardinality": 2, "master_rounds": rounds,
+                "cores": 1, "subproblem_lps": 0,
+            }
+        return {"scenarios": [{"scenario": "s", "backends": {"bnb": record}}]}
+
+    assert gate.check_scenarios(payload(10), payload(11), 0.10) == []
+    assert gate.check_scenarios(payload(10), payload(12), 0.10) == [
+        "s/bnb/core_loop.master_rounds: 12 > 11.0 (baseline 10 + 10%)"
+    ]
+    assert gate.check_scenarios(payload(10), payload(None), 0.10) == [
+        f"s/bnb/core_loop.{name}: dropped from fresh run"
+        for name in ("master_rounds", "cores", "subproblem_lps")
+    ]
+    # A baseline from before the core loop gates nothing new.
+    assert gate.check_scenarios(payload(None), payload(3), 0.10) == []
