@@ -767,11 +767,11 @@ def solve_cores(
                 break
             if isinstance(verdict, dict):
                 for j, change in verdict.items():
-                    cell = cells[j]
                     new = component.values[j] + change
-                    assignment[cell] = (
-                        int(new) if component.integer[j] else float(new)
-                    )
+                    new = int(new) if component.integer[j] else float(new)
+                    if new != database.get_value(*cells[j]):
+                        # A real change below a float's resolution is none.
+                        assignment[cells[j]] = new
                 break
             if not verdict:
                 raise CoreInfeasible(
