@@ -474,9 +474,9 @@ def test_orders_with_a_free_column_take_the_lp(backend):
 
 
 def test_dense_balance_sheet_returns_the_ground_truth():
-    """A d=3 b=3 sheet whose first component has 12 violated rows: the
-    Big-M branch and bound ends in ``iteration_limit`` after minutes
-    here; the core loop converges and validation reaches the truth."""
+    """A d=3 b=3 sheet with 12 violated rows in one component: the
+    Big-M branch and bound stops at its ``iteration_limit`` here; the
+    core loop converges and validation reaches the truth."""
     scenario = balance_sheet_scenario(
         generate_balance_sheet(depth=3, branching=3, seed=648053401)
     )
