@@ -26,8 +26,8 @@ default path on these backends is now the core-guided loop of
 ``repro.repair.cores``, which builds no MILP.  Each (scenario, backend)
 therefore also carries a ``core_loop`` record: the default repair's
 best wall time, its cardinality, and the loop's deterministic counters
-(master rounds, cores learned, subproblem LPs), gated like nodes and
-pivots.  Its cardinality must equal the B&B objective.
+(master rounds, cores learned), gated like nodes and pivots.  Its
+cardinality must equal the B&B objective.
 
 Results land in ``BENCH_milp.json`` at the repository root
 -- machine-readable, one entry per scenario -- so the trajectory is
@@ -131,7 +131,6 @@ def time_core_loop(database, constraints, backend: str) -> Dict:
                 "cardinality": outcome.cardinality,
                 "master_rounds": stats.master_rounds,
                 "cores": stats.cores,
-                "subproblem_lps": stats.subproblem_lps,
             }
         )
     return min(records, key=lambda record: record["wall_time"])

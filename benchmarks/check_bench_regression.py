@@ -74,7 +74,6 @@ COUNT_METRICS = (
     "certify_replays",
     "core_loop.master_rounds",
     "core_loop.cores",
-    "core_loop.subproblem_lps",
 )
 
 

@@ -13,7 +13,7 @@ import ctypes
 import functools
 import os
 import sys
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -30,6 +30,26 @@ def _c_fflush():
     return fflush
 
 
+def _flush_stdout() -> None:
+    if sys.stdout is not None:
+        sys.stdout.flush()
+
+
+def _stdout_to_stderr() -> Optional[int]:
+    """Point fd 1 at fd 2.  Returns a duplicate of the old fd 1, or
+    None when fd 1 or fd 2 is closed and nothing moved."""
+    try:
+        saved = os.dup(1)
+    except OSError:
+        return None
+    try:
+        os.dup2(2, 1)
+    except OSError:
+        os.close(saved)
+        return None
+    return saved
+
+
 @contextlib.contextmanager
 def native_output_to_stderr() -> Iterator[None]:
     """Point fd 1 at standard error while native solvers run.
@@ -39,22 +59,26 @@ def native_output_to_stderr() -> Iterator[None]:
     The CLI commands and :class:`~repro.repair.service.RepairService`
     solve inside this block, so standard output carries only their own
     result lines.  On exit fd 1 points where it pointed on entry, and
-    the duplicate that remembered it is closed.  Not thread-safe: fd 1
-    belongs to the whole process.
+    the duplicate that remembered it is closed.  In a process with fd 1
+    or fd 2 closed the block moves nothing.  Not thread-safe: fd 1
+    belongs to the whole process, so other threads' standard output
+    goes to standard error while the block runs.
     """
     fflush = _c_fflush()
-    sys.stdout.flush()
-    saved = os.dup(1)
+    _flush_stdout()
+    saved = _stdout_to_stderr()
+    if saved is None:
+        yield
+        return
     try:
-        os.dup2(2, 1)
+        yield
+    finally:
         try:
-            yield
-        finally:
-            sys.stdout.flush()
+            _flush_stdout()
             fflush(None)  # C stdio buffers, before fd 1 moves back
             os.dup2(saved, 1)
-    finally:
-        os.close(saved)
+        finally:
+            os.close(saved)
 
 
 def solve_scipy(model: MILPModel, *, time_limit: float = 300.0) -> Solution:

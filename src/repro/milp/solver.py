@@ -150,12 +150,11 @@ class SolveStats:
     #: Core-guided loop accounting (``phase="cores"`` records, see
     #: :mod:`repro.repair.cores`): connected components of the ground
     #: system, master solves, cores learned from infeasible supports,
-    #: LPs the subproblem solved, and components handed back to
-    #: ``S*(AC)``.  Zero on every other record.
+    #: and components handed back to ``S*(AC)``.  Zero on every other
+    #: record.
     components: int = 0
     master_rounds: int = 0
     cores: int = 0
-    subproblem_lps: int = 0
     bigm_fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
@@ -202,8 +201,6 @@ class SolveStats:
                 f"components:{self.components} master-rounds:"
                 f"{self.master_rounds} cores:{self.cores}"
             )
-        if self.subproblem_lps:
-            flags.append(f"subproblem-lps:{self.subproblem_lps}")
         if self.bigm_fallbacks:
             flags.append(f"bigm-fallbacks:{self.bigm_fallbacks}")
         if self.phase:

@@ -171,7 +171,6 @@ _SPARSE_COUNTERS = (
     "components",
     "master_rounds",
     "cores",
-    "subproblem_lps",
     "bigm_fallbacks",
 )
 

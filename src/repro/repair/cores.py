@@ -37,16 +37,19 @@ cells they share; pinned cells are constants and link nothing), and
 each component runs its own loop.  A cash budget splits into one
 component per year.
 
-Two cases leave the exact elimination:
+Two cases leave the exact elimination, and the component is handed
+back to the caller, which solves it through ``S*(AC)``
+(:attr:`CoreStats.bigm_fallbacks` counts these):
 
 - the equality rows leave a support column free, possible only when
-  inequality rows or declared bounds hold the values in: the
-  subproblem becomes an LP on the backend's own LP core, and an
-  infeasible LP yields its core through a Farkas LP whose multipliers
-  are replayed in exact arithmetic before the master sees them;
-- a fractional value on an integer cell, or a Farkas replay that
-  fails: the component is handed back to the caller, which solves it
-  through ``S*(AC)`` (:attr:`CoreStats.bigm_fallbacks` counts these).
+  inequality rows or declared bounds hold the values in (on equality
+  rows alone a free column at a minimum support would give a smaller
+  feasible support);
+- a fractional value on an integer cell.
+
+A deadline that expires inside the loop leaves the components it has
+not settled to the caller, with the hitting number proved on the one
+in progress (:attr:`CoreResult.expired`).
 
 The module also holds the exact hitting-set searches of the cascade's
 tier T3 (:func:`minimum_hitting_sets`, :func:`hitting_sets_of_size`,
@@ -70,16 +73,10 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.constraints.constraint import Relop
 from repro.constraints.grounding import Cell, GroundConstraint
-from repro.diagnostics import ensure_finite_cell
+from repro.diagnostics import SolveTimeoutError, ensure_finite_cell
 from repro.milp.deadline import Deadline
-from repro.milp.node_lp import solve_lp_linprog
-from repro.milp.revised import solve_lp_sparse
-from repro.milp.simplex import LPResult
-from repro.milp.sparse import CSRMatrix, SparseArrays
 from repro.relational.database import Database
 from repro.relational.domains import Domain
 from repro.repair.translation import (
@@ -101,10 +98,6 @@ ROW_TOL = 1e-9
 #: Node interval at which the master checks the deadline.
 _DEADLINE_EVERY = 256
 
-#: Largest denominator accepted when a float Farkas multiplier is read
-#: back as a rational.
-_MAX_DENOMINATOR = 10_000
-
 Exact = Union[int, Fraction]
 
 
@@ -122,9 +115,6 @@ class CoreStats:
     master_rounds: int = 0
     #: Cores learned from infeasible supports (violated rows excluded).
     cores: int = 0
-    #: LPs the subproblem solved: supports whose equality rows left a
-    #: column free (the exact elimination settles every other support).
-    subproblem_lps: int = 0
     #: Components handed back to ``S*(AC)``.
     bigm_fallbacks: int = 0
 
@@ -136,6 +126,12 @@ class CoreResult:
 
     assignment: Dict[Cell, Union[int, float]]
     fallback: List[List[GroundConstraint]] = field(default_factory=list)
+    #: Components the deadline left unrepaired: the one in progress and
+    #: every later one.
+    expired: List[List[GroundConstraint]] = field(default_factory=list)
+    #: The hitting number proved on the component in progress: a lower
+    #: bound on the changes the expired components need.
+    expired_bound: int = 0
     stats: CoreStats = field(default_factory=CoreStats)
 
 
@@ -163,26 +159,15 @@ class _Row:
     denominator); ``equality`` is False for a ``<=`` row.
     """
 
-    __slots__ = ("coefs", "rhs", "equality", "scale")
+    __slots__ = ("coefs", "rhs", "equality")
 
-    def __init__(
-        self, coefs: Dict[int, int], rhs: int, equality: bool, scale: int = 1
-    ) -> None:
+    def __init__(self, coefs: Dict[int, int], rhs: int, equality: bool) -> None:
         self.coefs = coefs
         self.rhs = rhs
         self.equality = equality
-        #: The common denominator the ground row was multiplied by.
-        self.scale = scale
 
     def copy(self) -> "_Row":
-        return _Row(dict(self.coefs), self.rhs, self.equality, self.scale)
-
-    def unscaled(self) -> PyTuple[Dict[int, Fraction], Fraction]:
-        """The row as the ground row wrote it, in exact rationals."""
-        return (
-            {j: Fraction(a, self.scale) for j, a in self.coefs.items()},
-            Fraction(self.rhs, self.scale),
-        )
+        return _Row(dict(self.coefs), self.rhs, self.equality)
 
     def eliminate(self, pivot: "_Row", column: int) -> None:
         """Clear *column* with the equality row *pivot*, then reduce.
@@ -220,7 +205,6 @@ def _scaled(coefs: Dict[int, Exact], rhs: Exact, equality: bool) -> _Row:
         {j: int(a * scale) for j, a in coefs.items() if a},
         int(rhs * scale),
         equality,
-        scale,
     )
 
 
@@ -258,9 +242,6 @@ class _Component:
                 upper is not None and self.upper[j] < 0
             ):
                 self.initial_cores.append(1 << j)
-        #: LPs the subproblem solved (the exact elimination settles the
-        #: rest).
-        self.lps = 0
         self.rows: List[_Row] = []
         self.by_column: List[List[int]] = [[] for _ in cells]
         for ground in grounds:
@@ -382,7 +363,7 @@ _FALLBACK = "fallback"
 
 
 def _subproblem(
-    component: _Component, support: int, backend: str
+    component: _Component, support: int
 ) -> Union[Dict[int, Exact], int, str]:
     """Can the rows hold when only *support* changes?
 
@@ -432,7 +413,7 @@ def _subproblem(
     if core is not None:
         return core
     if free:
-        return _lp_subproblem(component, columns, touched, backend)
+        return _FALLBACK  # bounds or <= rows hold a column in
 
     changes: Dict[int, Exact] = {}
     for j, row in pivots.items():
@@ -445,195 +426,6 @@ def _subproblem(
             return _FALLBACK  # cannot happen on a minimum hitting set
         changes[j] = change
     return changes
-
-
-def _solve_lp(component: _Component, backend: str, arrays: SparseArrays) -> LPResult:
-    component.lps += 1
-    if backend == "bnb-simplex":
-        return solve_lp_sparse(arrays)
-    return solve_lp_linprog(arrays, arrays.lower, arrays.upper)
-
-
-def _arrays(
-    costs: List[float],
-    eq_rows: List[Dict[int, float]],
-    b_eq: List[float],
-    ub_rows: List[Dict[int, float]],
-    b_ub: List[float],
-    lower: List[float],
-    upper: List[float],
-) -> SparseArrays:
-    n = len(costs)
-    return SparseArrays(
-        costs=np.asarray(costs, dtype=float),
-        a_ub=CSRMatrix.from_row_dicts(ub_rows, n),
-        b_ub=np.asarray(b_ub, dtype=float),
-        a_eq=CSRMatrix.from_row_dicts(eq_rows, n),
-        b_eq=np.asarray(b_eq, dtype=float),
-        lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-        integral=[],
-        objective_constant=0.0,
-    )
-
-
-def _lp_subproblem(
-    component: _Component,
-    columns: List[int],
-    touched: List[int],
-    backend: str,
-) -> Union[Dict[int, Exact], int, str]:
-    """The subproblem as an LP over the support's changes.
-
-    A feasible point is rounded on integer cells and checked against
-    the component's rows; an infeasible one yields its core through
-    :func:`_farkas_core`.
-    """
-    position = {j: i for i, j in enumerate(columns)}
-    blocks: Dict[bool, PyTuple[List[Dict[int, float]], List[float]]] = {
-        True: ([], []), False: ([], [])
-    }
-    for r in touched:
-        row = component.rows[r]
-        rows, rhs = blocks[row.equality]
-        rows.append(
-            {position[j]: a / row.scale for j, a in row.coefs.items() if j in position}
-        )
-        rhs.append(row.rhs / row.scale)
-    arrays = _arrays(
-        [0.0] * len(columns), *blocks[True], *blocks[False],
-        [-math.inf if component.lower[j] is None else float(component.lower[j])
-         for j in columns],
-        [math.inf if component.upper[j] is None else float(component.upper[j])
-         for j in columns],
-    )
-    result = _solve_lp(component, backend, arrays)
-    if result.status == "infeasible":
-        return _farkas_core(component, columns, touched, backend)
-    if not result.is_optimal:
-        return _FALLBACK
-    changes: Dict[int, Exact] = {}
-    for j, value in zip(columns, result.x):
-        value = float(value)
-        changes[j] = _exact(round(value) if component.integer[j] else value)
-    if not _changes_hold(component, changes):
-        return _FALLBACK
-    return {j: change for j, change in changes.items() if change != 0}
-
-
-def _changes_hold(component: _Component, changes: Mapping[int, Exact]) -> bool:
-    """Do the component's rows and bounds hold after *changes*, within
-    the engine's row tolerance?"""
-    for j, change in changes.items():
-        lower, upper = component.lower[j], component.upper[j]
-        if (lower is not None and change < lower) or (
-            upper is not None and change > upper
-        ):
-            return False
-    for row in component.rows:
-        slack = Fraction(
-            row.rhs - sum(a * changes.get(j, 0) for j, a in row.coefs.items()),
-            1,
-        ) / row.scale
-        if slack < -ROW_TOL or (row.equality and slack > ROW_TOL):
-            return False
-    return True
-
-
-def _farkas_core(
-    component: _Component,
-    columns: List[int],
-    touched: List[int],
-    backend: str,
-) -> Union[int, str]:
-    """The core behind an infeasible LP subproblem, proved exactly.
-
-    One LP finds multipliers ``y`` (free on equality rows, >= 0 on
-    ``<=`` rows and on the support's bound rows) whose combination is
-    zero on the support, has right-hand side -1, and mentions as few
-    fixed cells as possible (min ``sum |(y^T A)_j|``).  The float ``y``
-    is read back as rationals and the certificate re-checked in exact
-    arithmetic; a certificate that fails the check is dropped
-    (:data:`_FALLBACK`).
-    """
-    support = set(columns)
-    rows = [component.rows[r].unscaled() for r in touched]
-    equality = [component.rows[r].equality for r in touched]
-    fixed = sorted({j for coefs, _ in rows for j in coefs} - support)
-    # The support's bound rows: +d_j <= upper and -d_j <= -lower.
-    bound_rows: List[PyTuple[int, int, Exact]] = []
-    for j in columns:
-        if component.upper[j] is not None:
-            bound_rows.append((j, 1, component.upper[j]))
-        if component.lower[j] is not None:
-            bound_rows.append((j, -1, -component.lower[j]))
-    # Variables: y per row, mu per bound row, then p, q per fixed column.
-    first_p = len(rows) + len(bound_rows)
-    n = first_p + 2 * len(fixed)
-    eq_rows: List[Dict[int, float]] = []
-    for j in (*columns, *fixed):
-        coefficients = {
-            i: float(coefs[j]) for i, (coefs, _) in enumerate(rows) if j in coefs
-        }
-        for k, (column, sign, _) in enumerate(bound_rows):
-            if column == j:
-                coefficients[len(rows) + k] = float(sign)
-        if j not in support:
-            at = first_p + 2 * fixed.index(j)
-            coefficients[at] = -1.0
-            coefficients[at + 1] = 1.0
-        eq_rows.append(coefficients)
-    normalisation = {i: float(rhs) for i, (_, rhs) in enumerate(rows) if rhs}
-    for k, (_, _, rhs) in enumerate(bound_rows):
-        normalisation[len(rows) + k] = float(rhs)
-    eq_rows.append(normalisation)
-    lower = [-math.inf if eq else 0.0 for eq in equality] + [0.0] * (n - len(rows))
-    result = _solve_lp(
-        component,
-        backend,
-        _arrays(
-            [0.0] * first_p + [1.0] * (n - first_p),
-            eq_rows, [0.0] * (len(eq_rows) - 1) + [-1.0],
-            [], [],
-            lower, [math.inf] * n,
-        ),
-    )
-    if not result.is_optimal:
-        return _FALLBACK
-
-    # Exact replay: read y back as rationals and rebuild the combination.
-    y = np.asarray(result.x[: len(rows)], dtype=float)
-    scale = float(np.max(np.abs(y))) if rows else 0.0
-    if scale == 0.0:
-        return _FALLBACK
-    multipliers = [
-        Fraction(value / scale).limit_denominator(_MAX_DENOMINATOR) for value in y
-    ]
-    if any(m < 0 for m, eq in zip(multipliers, equality) if not eq):
-        return _FALLBACK
-    combined: Dict[int, Fraction] = {}
-    rhs = Fraction(0)
-    inequality = False
-    for m, (coefs, row_rhs), eq in zip(multipliers, rows, equality):
-        if not m:
-            continue
-        inequality = inequality or not eq
-        rhs += m * row_rhs
-        for j, a in coefs.items():
-            combined[j] = combined.get(j, 0) + m * a
-    for j in columns:
-        # The support's bound rows cancel what the ground rows leave.
-        s = combined.pop(j, 0)
-        if s < 0 and component.upper[j] is not None:
-            rhs -= s * component.upper[j]
-        elif s > 0 and component.lower[j] is not None:
-            rhs -= s * component.lower[j]
-        elif s:
-            return _FALLBACK
-        inequality = inequality or bool(s)
-    if not (rhs < 0 or (rhs > 0 and not inequality)):
-        return _FALLBACK
-    return sum(1 << j for j, a in combined.items() if a)
 
 
 # ----------------------------------------------------------------------
@@ -687,7 +479,6 @@ def solve_cores(
     database: Database,
     *,
     pins: Optional[Mapping[Cell, float]] = None,
-    backend: str = "bnb",
     deadline: Optional[Deadline] = None,
 ) -> CoreResult:
     """A card-minimal repair of *database* under *grounds* and *pins*.
@@ -696,7 +487,8 @@ def solve_cores(
     translation's typed errors on the inputs it refuses (non-finite
     values, a constant-false row, no cells at all).  Components listed
     in :attr:`CoreResult.fallback` are left unrepaired: the caller
-    solves them through ``S*(AC)``.
+    solves them through ``S*(AC)``.  So are those in
+    :attr:`CoreResult.expired` when *deadline* expires inside the loop.
     """
     deadline = deadline if deadline is not None else Deadline(None)
     ensure_finite_grounds(grounds)
@@ -750,37 +542,43 @@ def solve_cores(
     result = CoreResult(assignment)
     stats = result.stats
     stats.components = len(components)
-    for rows, cells in components:
-        deadline.check("core loop")
-        component = _Component(rows, cells, values, exact_pins, database)
-        if not component.initial_cores:
-            continue
-        master = _Master(deadline)
-        for core in component.initial_cores:
-            master.add(core)
-        while True:
-            stats.master_rounds += 1
-            verdict = _subproblem(component, master.solve(), backend)
-            if verdict is _FALLBACK:
-                stats.bigm_fallbacks += 1
-                result.fallback.append(rows)
-                break
-            if isinstance(verdict, dict):
-                for j, change in verdict.items():
-                    new = component.values[j] + change
-                    new = int(new) if component.integer[j] else float(new)
-                    if new != database.get_value(*cells[j]):
-                        # A real change below a float's resolution is none.
-                        assignment[cells[j]] = new
-                break
-            if not verdict:
-                raise CoreInfeasible(
-                    "the ground rows cannot hold whatever cells change"
-                )
-            stats.cores += 1
-            master.add(verdict)
+    for position, (rows, cells) in enumerate(components):
+        master: Optional[_Master] = None
+        try:
             deadline.check("core loop")
-        stats.subproblem_lps += component.lps
+            component = _Component(rows, cells, values, exact_pins, database)
+            if not component.initial_cores:
+                continue
+            master = _Master(deadline)
+            for core in component.initial_cores:
+                master.add(core)
+            while True:
+                stats.master_rounds += 1
+                verdict = _subproblem(component, master.solve())
+                if verdict is _FALLBACK:
+                    stats.bigm_fallbacks += 1
+                    result.fallback.append(rows)
+                    break
+                if isinstance(verdict, dict):
+                    for j, change in verdict.items():
+                        new = component.values[j] + change
+                        new = int(new) if component.integer[j] else float(new)
+                        if new != database.get_value(*cells[j]):
+                            # A real change below a float's resolution
+                            # is none.
+                            assignment[cells[j]] = new
+                    break
+                if not verdict:
+                    raise CoreInfeasible(
+                        "the ground rows cannot hold whatever cells change"
+                    )
+                stats.cores += 1
+                master.add(verdict)
+                deadline.check("core loop")
+        except SolveTimeoutError:
+            result.expired = [rows for rows, _ in components[position:]]
+            result.expired_bound = master.size if master is not None else 0
+            break
     return result
 
 

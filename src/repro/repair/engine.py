@@ -58,7 +58,7 @@ from repro.repair.cascade import (
     run_cascade,
 )
 from repro.repair.cores import CORE_BACKENDS, CoreInfeasible, solve_cores
-from repro.repair.heuristic import greedy_repair
+from repro.repair.heuristic import CHANGE_TOL, greedy_repair
 from repro.repair.translation import (
     BigMStrategy,
     ConflictReport,
@@ -270,7 +270,10 @@ class RepairEngine:
         loops.  On expiry the engine returns its best incumbent as an
         *approximate* repair (``outcome.approximate`` with a certified
         ``gap``) when it has one, and raises
-        :class:`~repro.diagnostics.SolveTimeoutError` otherwise.
+        :class:`~repro.diagnostics.SolveTimeoutError` otherwise.  The
+        core loop's incumbent is the greedy repair of the components it
+        did not settle (when ``seed_incumbent`` is on), and its gap
+        rests on the hitting number the loop proved.
         """
         if self.strategy == "cascade" and not pins:
             # Pins bypass the cascade: the closed-form tiers reason
@@ -441,11 +444,13 @@ class RepairEngine:
     ) -> RepairOutcome:
         """A card-minimal repair from :func:`~repro.repair.cores.solve_cores`.
 
-        A component the loop hands back (a fractional value on an
-        integer cell, a dropped Farkas certificate) is solved by
-        :meth:`find_big_m_repair` on a child
-        engine restricted to its rows, with *solver_options*; the
-        child's records join this engine's.  Appends one
+        A component the loop hands back (bounds or ``<=`` rows that
+        leave a support column free, a fractional value on an integer
+        cell) is solved by :meth:`find_big_m_repair` on a child engine
+        restricted to its rows, with *solver_options*; the child's
+        records join this engine's.  Components the deadline leaves
+        unsettled get the greedy repair, and the gap counts its changes
+        above the hitting number the loop proved.  Appends one
         ``phase="cores"`` record with the loop's counters.  The repaired
         document is certified against every ground row, as cascade
         repairs are.
@@ -456,11 +461,7 @@ class RepairEngine:
         deadline.check("repair computation")
         try:
             result = solve_cores(
-                self.ground_system,
-                self.database,
-                pins=pins,
-                backend=self.backend,
-                deadline=deadline,
+                self.ground_system, self.database, pins=pins, deadline=deadline
             )
         except CoreInfeasible as exc:
             raise UnrepairableError(
@@ -468,23 +469,49 @@ class RepairEngine:
                 f"{exc}"
             ) from None
         assignment = result.assignment
+        unsettled = [ground for rows in result.expired for ground in rows]
         escalations = 0
-        approximate = False
         gap = 0.0
         for grounds in result.fallback:
+            left = deadline.remaining()
+            if left == 0.0:  # expired (None is the unbounded deadline)
+                unsettled.extend(grounds)
+                continue
             cells = {cell for ground in grounds for cell in ground.coefficients}
-            outcome = self._child_engine(self.database, grounds).find_big_m_repair(
-                pins={c: v for c, v in (pins or {}).items() if c in cells} or None,
-                time_limit=deadline.remaining(),
-                **solver_options,
-            )
+            try:
+                outcome = self._child_engine(
+                    self.database, grounds
+                ).find_big_m_repair(
+                    pins={c: v for c, v in (pins or {}).items() if c in cells}
+                    or None,
+                    time_limit=left,
+                    **solver_options,
+                )
+            except SolveTimeoutError:
+                unsettled.extend(grounds)
+                continue
             self.solve_stats.extend(outcome.stats)
             escalations += outcome.escalations
             for update in outcome.repair:
                 assignment[update.cell] = update.new_value
             if outcome.approximate:
-                approximate = True
                 gap += outcome.gap or 0.0
+        if unsettled:
+            changes = (
+                self._greedy_changes(unsettled, pins)
+                if self.seed_incumbent
+                else None
+            )
+            if changes is None:
+                raise SolveTimeoutError(
+                    "solve budget expired before any feasible repair was "
+                    "found",
+                    budget=time_limit,
+                )
+            assignment.update(changes)
+            gap += len(changes) - result.expired_bound
+        # A gap of 0 proves the repair card-minimal, cut or not.
+        approximate = gap > 0
         repair = Repair(
             AtomicUpdate(*cell, float(self.database.get_value(*cell)), value)
             for cell, value in assignment.items()
@@ -517,7 +544,6 @@ class RepairEngine:
                 components=counters.components,
                 master_rounds=counters.master_rounds,
                 cores=counters.cores,
-                subproblem_lps=counters.subproblem_lps,
                 bigm_fallbacks=counters.bigm_fallbacks,
             )
         )
@@ -537,6 +563,40 @@ class RepairEngine:
             certified=certificate.certified if certificate else None,
             certificate=certificate,
         )
+
+    def _greedy_changes(
+        self,
+        grounds: List[GroundConstraint],
+        pins: Optional[Mapping[Cell, float]],
+    ) -> Optional[Dict[Cell, float]]:
+        """The cells the greedy repair of *grounds* changes, pinned
+        cells left out; None when the heuristic fails.
+
+        Runs after the deadline, bounded by the heuristic's own round
+        cap.
+        """
+        cells = {cell for ground in grounds for cell in ground.coefficients}
+        pinned = {c: v for c, v in (pins or {}).items() if c in cells}
+        translation = translate(
+            self.database,
+            self.constraints,
+            pins=pinned or None,
+            strategy=self.big_m_strategy,
+            grounds=grounds,
+            objective=self.objective,
+        )
+        seed = greedy_repair(translation)
+        if seed is None:
+            return None
+        changes: Dict[Cell, float] = {}
+        for i, cell in enumerate(translation.cells):
+            value = seed.z_values[i]
+            if translation.integer_cells[i]:
+                value = round(value)
+            original = translation.values[i]
+            if cell not in pinned and abs(value - original) > CHANGE_TOL:
+                changes[cell] = value
+        return changes
 
     def _child_engine(
         self, database: Database, grounds: Sequence[GroundConstraint]

@@ -32,7 +32,6 @@ logger = logging.getLogger(__name__)
 
 from repro.constraints.grounding import Cell, GroundConstraint
 from repro.relational.database import Database
-from repro.relational.tuples import Tuple
 from repro.repair.engine import RepairEngine, RepairOutcome, UnrepairableError
 from repro.repair.translation import ConflictReport
 from repro.repair.updates import AtomicUpdate, Repair
@@ -73,18 +72,6 @@ class OracleOperator:
         self.ground_truth = ground_truth
         self.acquired = acquired
         self.reviews = 0
-        #: Relation -> key -> ground-truth tuple, built on the first
-        #: review of each relation (the first tuple wins on a key clash).
-        self._key_index: Dict[str, Dict[PyTuple, Tuple]] = {}
-
-    def _by_key(self, relation: str) -> Dict[PyTuple, Tuple]:
-        index = self._key_index.get(relation)
-        if index is None:
-            index = {}
-            for candidate in self.ground_truth.relation(relation):
-                index.setdefault(candidate.key_values(), candidate)
-            self._key_index[relation] = index
-        return index
 
     def _truth_value(self, update: AtomicUpdate) -> float:
         schema = self.ground_truth.schema.relation(update.relation)
@@ -93,12 +80,12 @@ class OracleOperator:
                 update.tuple_id
             )
             key = acquired_tuple.key_values()
-            candidate = self._by_key(update.relation).get(key)
-            if candidate is None:
-                raise KeyError(
-                    f"ground truth has no {update.relation} tuple with key {key}"
-                )
-            return float(candidate[update.attribute])
+            for candidate in self.ground_truth.relation(update.relation):
+                if candidate.key_values() == key:
+                    return float(candidate[update.attribute])
+            raise KeyError(
+                f"ground truth has no {update.relation} tuple with key {key}"
+            )
         return float(
             self.ground_truth.get_value(
                 update.relation, update.tuple_id, update.attribute

@@ -15,8 +15,13 @@ import time
 
 import pytest
 
+import repro.repair.engine as engine_module
 from repro.acquisition.ocr import inject_value_errors
-from repro.datasets import generate_cash_budget
+from repro.datasets import (
+    cash_budget_constraints,
+    generate_cash_budget,
+    paper_acquired_instance,
+)
 from repro.diagnostics import SolveTimeoutError, classify_failure
 from repro.milp.cache import SolveCache
 from repro.milp.deadline import Deadline
@@ -128,6 +133,88 @@ def test_expired_budget_without_incumbent_raises_typed_timeout(hard_instance):
         with pytest.raises(SolveTimeoutError) as info:
             method(time_limit=1e-9)
         assert info.value.code == "timeout"
+
+
+class _ExpiresAtCheck(Deadline):
+    """A deadline that expires at its *n*-th check: a deterministic cut."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__(60.0)
+        self.checks_left = n
+
+    @property
+    def expired(self) -> bool:
+        return self.checks_left <= 0
+
+    def check(self, what: str = "solve") -> None:
+        self.checks_left -= 1
+        super().check(what)
+
+    def remaining(self):
+        return 0.0 if self.expired else super().remaining()
+
+
+def test_core_loop_cut_before_it_starts_returns_the_greedy_repair(monkeypatch):
+    """A deadline that expires at the loop's first check leaves the
+    whole document to the greedy repair: one change on the paper's
+    instance, approximate, with nothing proved (gap 1)."""
+    monkeypatch.setattr(engine_module, "Deadline", lambda budget: _ExpiresAtCheck(2))
+    engine = RepairEngine(
+        paper_acquired_instance(), cash_budget_constraints(), backend="bnb"
+    )
+    outcome = engine.find_card_minimal_repair(time_limit=60.0)
+    assert outcome.approximate and outcome.certified is True
+    assert (outcome.objective, outcome.gap) == (1.0, 1.0)
+    assert engine.is_repair(outcome.repair)
+    [record] = engine.solve_stats
+    assert record.phase == "cores" and record.status == "feasible_gap"
+
+
+def test_core_loop_cut_by_its_deadline_keeps_the_anytime_contract(
+    hard_instance, monkeypatch
+):
+    """Cut the loop at its n-th deadline check, for every n until it
+    finishes.  Each cut returns a certified repair whose gap brackets
+    the optimum, or raises the typed timeout when the greedy repair of
+    what the loop left fails."""
+    workload, database = hard_instance
+    optimum = RepairEngine(
+        database, workload.constraints, backend="bnb"
+    ).find_card_minimal_repair().objective
+    for n in range(2, 64):
+        monkeypatch.setattr(
+            engine_module, "Deadline", lambda budget, n=n: _ExpiresAtCheck(n)
+        )
+        engine = RepairEngine(database, workload.constraints, backend="bnb")
+        try:
+            outcome = engine.find_card_minimal_repair(time_limit=60.0)
+        except SolveTimeoutError as error:
+            assert error.code == "timeout"
+            continue
+        assert outcome.certified is True and engine.is_repair(outcome.repair)
+        [record] = engine.solve_stats
+        if not outcome.approximate:
+            assert n > 2 and outcome.objective == optimum
+            assert record.status == "optimal"
+            break
+        assert outcome.gap >= 0.0
+        assert outcome.objective - outcome.gap <= optimum <= outcome.objective
+        assert record.status == "feasible_gap" and record.gap == outcome.gap
+    else:
+        pytest.fail("the core loop never finished inside 63 checks")
+
+
+def test_core_loop_cut_without_the_greedy_seed_raises_typed_timeout(
+    hard_instance, monkeypatch
+):
+    workload, database = hard_instance
+    monkeypatch.setattr(engine_module, "Deadline", lambda budget: _ExpiresAtCheck(2))
+    engine = RepairEngine(
+        database, workload.constraints, backend="bnb", seed_incumbent=False
+    )
+    with pytest.raises(SolveTimeoutError) as info:
+        engine.find_card_minimal_repair(time_limit=60.0)
+    assert info.value.code == "timeout"
 
 
 def test_feasible_gap_solutions_are_not_cached(hard_instance):

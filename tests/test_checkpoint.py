@@ -368,19 +368,17 @@ def test_journaled_core_counters_round_trip_only_when_nonzero():
     milp = SolveStats(backend="scipy", status="optimal", wall_time=0.1)
     cores = SolveStats(
         backend="bnb", status="optimal", wall_time=0.1, phase="cores",
-        components=3, master_rounds=4, cores=1, subproblem_lps=0,
-        bigm_fallbacks=0,
+        components=3, master_rounds=4, cores=1, bigm_fallbacks=0,
     )
     result = BatchItemResult(
         index=0, name="doc", status="repaired", stats=[milp, cores]
     )
     record = json.loads(json.dumps(result_to_record(result, "fp")))
-    counters = ("components", "master_rounds", "cores", "subproblem_lps",
-                "bigm_fallbacks")
+    counters = ("components", "master_rounds", "cores", "bigm_fallbacks")
     assert not any(name in record["stats"][0] for name in counters)
     assert {name: record["stats"][1].get(name) for name in counters} == {
         "components": 3, "master_rounds": 4, "cores": 1,
-        "subproblem_lps": None, "bigm_fallbacks": None,
+        "bigm_fallbacks": None,
     }
     assert record_to_result(record).stats == [milp, cores]
 

@@ -13,6 +13,10 @@ references:
 - brute force (``repair/bruteforce.py``) on hypothesis-generated
   grounded systems, and as the soundness oracle for every learned core.
 
+Components whose minimum support the equality rows leave underdetermined
+(declared bounds, ``<=`` rows) and fractional supports on integer cells
+are handed to ``S*(AC)``; the hand-off has its own tests.
+
 Seeds honour ``REPRO_TEST_SEED`` (``tests/_seeds.py``).
 """
 
@@ -24,7 +28,6 @@ import random
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -49,7 +52,7 @@ from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.repair.bruteforce import _subset_feasible
 from repro.repair.cores import CoreInfeasible, solve_cores
 from repro.repair.engine import RepairEngine, UnrepairableError
-from repro.repair.updates import AtomicUpdate, Repair, apply_repair
+from repro.repair.updates import apply_repair
 
 from tests._seeds import derived_seeds, describe_seed
 
@@ -159,9 +162,12 @@ def test_cardinality_matches_the_big_m_optimum(kind, pinned, seed):
             update = outcome.repair.update_for(cell)
             assert (update.new_value if update else database.get_value(*cell)) == value
         assert outcome.translation is None and outcome.solution is None
-        [record] = engine.solve_stats
+        record = engine.solve_stats[-1]
         assert record.phase == "cores" and record.status == "optimal"
-        assert record.components >= 1 and record.bigm_fallbacks == 0
+        assert record.components >= 1
+        if kind in ("cash", "sheet"):  # equality rows only: no hand-off
+            assert engine.solve_stats == [record]
+            assert record.bigm_fallbacks == 0
 
 
 def _integer_database(values) -> Database:
@@ -208,10 +214,10 @@ def _engine_on(database, grounds, backend) -> RepairEngine:
     return engine
 
 
-def _hands_off(database, grounds, backend) -> bool:
+def _hands_off(database, grounds) -> bool:
     """Does the loop leave a component to S*(AC)?"""
     try:
-        return bool(solve_cores(grounds, database, backend=backend).fallback)
+        return bool(solve_cores(grounds, database).fallback)
     except CoreInfeasible:
         return False
 
@@ -226,7 +232,7 @@ def test_generated_equality_systems_match_brute_force(system):
     # unique values are fractional goes to the Big-M branch and bound,
     # which can take minutes to prove a parity contradiction.  That
     # hand-off has its own tests below.
-    assume(not any(_hands_off(database, grounds, b) for b in BACKENDS))
+    assume(not _hands_off(database, grounds))
     cells = _cells_of(grounds, {})
     minimum = next(
         (
@@ -324,8 +330,8 @@ def _learned_cores(monkeypatch, run) -> List[frozenset]:
     learned: List[frozenset] = []
     original = cores_module._subproblem
 
-    def recording(component, support, backend):
-        verdict = original(component, support, backend)
+    def recording(component, support):
+        verdict = original(component, support)
         if isinstance(verdict, int) and verdict:
             learned.append(
                 frozenset(
@@ -360,14 +366,15 @@ def test_every_core_is_sound(kind, seed, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The LP side: inequality rows and declared bounds
+# The hand-off to S*(AC)
 # ---------------------------------------------------------------------------
 
 
 def _capped_system():
     """x + y - w = 0 holds; x <= 1 and y <= 1 are violated.  The only
-    size-2 support {x, y} leaves y free, the LP says no, and the Farkas
-    core is {w}: the optimum changes x, y and w."""
+    size-2 support {x, y} leaves y free in the equality row: only the
+    caps hold it in, so the component goes to S*(AC), whose optimum
+    changes x, y and w."""
     database = _integer_database([5, 5, 10])
     x, y, w = (("R", i, "V") for i in range(3))
     grounds = [
@@ -379,53 +386,19 @@ def _capped_system():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_lp_subproblem_learns_an_exact_farkas_core(backend, monkeypatch):
+def test_a_free_column_hands_the_component_to_big_m(backend):
     database, grounds = _capped_system()
-    learned = []
-    original = cores_module._farkas_core
-
-    def recording(component, *args):
-        verdict = original(component, *args)
-        learned.append(verdict)
-        return verdict
-
-    monkeypatch.setattr(cores_module, "_farkas_core", recording)
-    result = solve_cores(grounds, database, backend=backend)
-    assert learned == [1 << 2]  # the core {w}
-    assert result.stats.cores == 1 and result.stats.subproblem_lps >= 3
-    assert not result.fallback
-    assert sorted(result.assignment) == [("R", 0, "V"), ("R", 1, "V"), ("R", 2, "V")]
-    repaired = apply_repair(
-        database,
-        Repair(
-            AtomicUpdate(*cell, database.get_value(*cell), value)
-            for cell, value in result.assignment.items()
-        ),
-    )
-    assert certify_database(grounds, repaired).certified
-
-
-def test_failed_farkas_replay_hands_the_component_to_big_m(monkeypatch):
-    """Multipliers that no longer cancel on the support fail the exact
-    replay: the core is dropped and the component goes to S*(AC)."""
-    database, grounds = _capped_system()
-    real = cores_module._solve_lp
-
-    def skewed(component, backend, arrays):
-        result = real(component, backend, arrays)
-        if arrays.costs.any() and result.is_optimal:  # the Farkas LP
-            result.x = result.x * np.linspace(1.0, 2.0, len(result.x))
-        return result
-
-    monkeypatch.setattr(cores_module, "_solve_lp", skewed)
-    result = solve_cores(grounds, database, backend="bnb")
-    assert result.stats.bigm_fallbacks == 1
+    result = solve_cores(grounds, database)
+    assert result.stats.bigm_fallbacks == 1 and result.stats.cores == 0
     assert result.fallback == [grounds]
     assert result.assignment == {}
 
-    engine = _engine_on(database, grounds, "bnb")
+    engine = _engine_on(database, grounds, backend)
     outcome = engine.find_card_minimal_repair()
     assert outcome.cardinality == 3 and outcome.certified is True
+    assert certify_database(
+        grounds, apply_repair(database, outcome.repair)
+    ).certified
     *milp, cores = engine.solve_stats
     assert milp and all(s.phase == "" and s.nodes for s in milp)
     assert cores.phase == "cores" and cores.bigm_fallbacks == 1
@@ -451,17 +424,17 @@ def test_fractional_support_hands_the_component_to_big_m(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_orders_with_a_free_column_take_the_lp(backend):
-    """Orders whose minimum support leaves a line amount free: the LP
-    finds the values, and the repair is still the Big-M optimum."""
+def test_orders_with_a_free_column_go_to_big_m(backend):
+    """Orders whose minimum support leaves a line amount free: that
+    component goes to S*(AC), and the repair is the Big-M optimum."""
     workload = generate_orders(
         n_customers=2, n_orders=4, lines_per_order=2, seed=42
     )
     database, _ = inject_value_errors(workload.ground_truth, 3, seed=59)
     engine = RepairEngine(database, workload.constraints, backend=backend)
     outcome = engine.find_card_minimal_repair()
-    [record] = engine.solve_stats
-    assert record.subproblem_lps >= 1
+    record = engine.solve_stats[-1]
+    assert record.phase == "cores" and record.bigm_fallbacks >= 1
     assert outcome.cardinality == _reference_cardinality(
         database, workload.constraints, None
     )
@@ -510,7 +483,7 @@ def test_bench_gate_counts_core_loop_work():
         if rounds is not None:
             record["core_loop"] = {
                 "wall_time": 0.01, "cardinality": 2, "master_rounds": rounds,
-                "cores": 1, "subproblem_lps": 0,
+                "cores": 1,
             }
         return {"scenarios": [{"scenario": "s", "backends": {"bnb": record}}]}
 
@@ -520,7 +493,7 @@ def test_bench_gate_counts_core_loop_work():
     ]
     assert gate.check_scenarios(payload(10), payload(None), 0.10) == [
         f"s/bnb/core_loop.{name}: dropped from fresh run"
-        for name in ("master_rounds", "cores", "subproblem_lps")
+        for name in ("master_rounds", "cores")
     ]
     # A baseline from before the core loop gates nothing new.
     assert gate.check_scenarios(payload(None), payload(3), 0.10) == []

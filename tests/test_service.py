@@ -188,6 +188,27 @@ def test_native_solver_output_goes_to_stderr(capfd, monkeypatch):
     assert "result line" in out
 
 
+def test_a_host_without_standard_output_can_serve(monkeypatch):
+    """A host process whose fd 1 is closed, or whose ``sys.stdout`` is
+    None, still gets its repairs; fd 1 stays as the host left it."""
+    saved = os.dup(1)
+    os.close(1)
+    try:
+        with RepairService(ServiceConfig(strategy="cascade")) as service:
+            service.submit(_tasks(1)[0])
+            assert service.process_pending() == 1
+            assert service.result(0).status == "repaired"
+        with pytest.raises(OSError):
+            os.fstat(1)
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+    monkeypatch.setattr(sys, "stdout", None)
+    with RepairService(ServiceConfig(strategy="cascade")) as service:
+        report = service.run(_tasks(2))
+    assert [result.status for result in report.results] == ["repaired"] * 2
+
+
 def test_intake_percentiles_cover_the_latest_window(monkeypatch):
     # Twelve tickets submitted at t=0 and served one per second wait
     # 0, 1, ..., 11 s; a window of 8 keeps only the waits 4..11.
