@@ -10,16 +10,10 @@ deterministic and the real regression signal.
 ``check_bench_regression.py`` gates them, and the objectives, against
 the committed baseline.
 
-The small/medium scenarios additionally time the exact-arithmetic
-certification layer (``repro.milp.certify``): the same repair with
-``certify=True`` vs ``certify=False``, summarised as
-``certify_overhead_geomean`` per backend.  That ratio is gated by
-``check_bench_regression.py`` against the committed baseline -- a
-fresh overhead more than 10% above it fails, catching a certification
-layer that has started taxing the hot path.  Those scenarios also
-record ``certify_replays``: the certificates of the certified repair
-that the float pass left to the ``Fraction`` replay.  It is a
-deterministic count, gated like nodes and pivots; its baseline is 0.
+Every repair is certified (``repro.milp.certify``), so every record
+also carries ``certify_replays``: the certificates of the repair that
+the float pass left to the ``Fraction`` replay.  It is a deterministic
+count, gated like nodes and pivots; its baseline is 0.
 
 The B&B records time ``RepairEngine.find_big_m_repair``: the engine's
 default path on these backends is now the core-guided loop of
@@ -37,16 +31,13 @@ Run directly (CI does)::
 
     PYTHONPATH=src python benchmarks/bench_milp.py
 
-Exits non-zero if certify-on and certify-off disagree on any
-objective, or the core loop's cardinality differs from the B&B
+Exits non-zero if the core loop's cardinality differs from the B&B
 objective.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -61,15 +52,9 @@ OUTPUT = REPO_ROOT / "BENCH_milp.json"
 
 BACKENDS = ["bnb", "bnb-simplex"]
 
-#: How many timed repetitions per (scenario, backend, certify); the
-#: minimum wall time is recorded (robust to scheduler noise).
+#: How many timed repetitions per (scenario, backend); the minimum
+#: wall time is recorded (robust to scheduler noise).
 REPEATS = 3
-
-#: Scenarios excluded from the certify-overhead measurement.  The e5
-#: scenarios dominate bench wall-clock and certification cost scales
-#: with the same model size as the solve itself, so the small/medium
-#: subset pins the overhead ratio at a fraction of the bench budget.
-SKIP_CERTIFY = frozenset({"cash_budget_y3_e5", "catalog_c12_e5"})
 
 
 def scenarios():
@@ -94,26 +79,31 @@ def scenarios():
     return cases
 
 
-def time_repair(database, constraints, backend: str, certify: bool) -> Dict:
-    """One timed repair through the Big-M MILP and the branch and bound."""
-    engine = RepairEngine(database, constraints, backend=backend, certify=certify)
-    started = time.perf_counter()
-    outcome = engine.find_big_m_repair()
-    elapsed = time.perf_counter() - started
-    record = {
-        "wall_time": elapsed,
-        "nodes": sum(s.nodes for s in engine.solve_stats),
-        "pivots": sum(s.simplex_pivots for s in engine.solve_stats),
-        "objective": outcome.objective,
-        "cardinality": outcome.cardinality,
-    }
-    if certify:
-        # Certificates the float pass left to the Fraction replay: the
-        # solves' own and the document certificate.
-        record["certify_replays"] = sum(
-            s.certify_replays for s in engine.solve_stats
-        ) + int(outcome.certificate.replayed)
-    return record
+def time_repair(database, constraints, backend: str) -> Dict:
+    """The certified repair through the Big-M MILP and the branch and
+    bound, best of REPEATS."""
+    records = []
+    for _ in range(REPEATS):
+        engine = RepairEngine(database, constraints, backend=backend)
+        started = time.perf_counter()
+        outcome = engine.find_big_m_repair()
+        elapsed = time.perf_counter() - started
+        records.append(
+            {
+                "wall_time": elapsed,
+                "nodes": sum(s.nodes for s in engine.solve_stats),
+                "pivots": sum(s.simplex_pivots for s in engine.solve_stats),
+                "objective": outcome.objective,
+                "cardinality": outcome.cardinality,
+                # Certificates the float pass left to the Fraction
+                # replay: the solves' own and the document certificate.
+                "certify_replays": sum(
+                    s.certify_replays for s in engine.solve_stats
+                )
+                + int(outcome.certificate.replayed),
+            }
+        )
+    return min(records, key=lambda record: record["wall_time"])
 
 
 def time_core_loop(database, constraints, backend: str) -> Dict:
@@ -136,62 +126,13 @@ def time_core_loop(database, constraints, backend: str) -> Dict:
     return min(records, key=lambda record: record["wall_time"])
 
 
-def best_records(
-    database, constraints, backend: str, certify_modes, repeats: int = REPEATS
-) -> Dict[bool, Dict]:
-    """Best-of-*repeats* record per certify mode.
-
-    The modes alternate within each repeat, so both sides of the
-    certify on/off ratio see the same host state.
-    """
-    runs: Dict[bool, List[Dict]] = {certify: [] for certify in certify_modes}
-    for _ in range(repeats):
-        for certify in certify_modes:
-            runs[certify].append(
-                time_repair(database, constraints, backend, certify)
-            )
-    return {
-        certify: min(records, key=lambda record: record["wall_time"])
-        for certify, records in runs.items()
-    }
-
-
-def _geomean(ratios: List[float]) -> float:
-    return math.exp(statistics.fmean(math.log(r) for r in ratios))
-
-
 def main() -> int:
     results: List[Dict] = []
     diverged = False
     for name, database, constraints in scenarios():
         entry: Dict = {"scenario": name, "backends": {}}
         for backend in BACKENDS:
-            # certify=False: the record tracks the *solver* trajectory;
-            # certification's own cost is the on/off ratio below.
-            modes = (False,) if name in SKIP_CERTIFY else (False, True)
-            best = best_records(database, constraints, backend, modes)
-            record: Dict = best[False]
-            overhead = ""
-            if True in best:
-                certified = best[True]
-                # Certification is verification-only and never changes
-                # the answer on a clean instance.
-                match = abs(certified["objective"] - record["objective"]) <= 1e-9
-                if not match:
-                    diverged = True
-                    print(
-                        f"OBJECTIVE DIVERGENCE: {name}/{backend}: "
-                        "certify-on vs certify-off",
-                        file=sys.stderr,
-                    )
-                record["certify"] = {
-                    "certified_wall_time": certified["wall_time"],
-                    "certify_overhead": certified["wall_time"]
-                    / max(record["wall_time"], 1e-9),
-                    "objectives_match": match,
-                }
-                record["certify_replays"] = certified["certify_replays"]
-                overhead = f"  certify {record['certify']['certify_overhead']:5.2f}x"
+            record = time_repair(database, constraints, backend)
             cores = time_core_loop(database, constraints, backend)
             if cores["cardinality"] != round(record["objective"]):
                 diverged = True
@@ -205,32 +146,17 @@ def main() -> int:
             print(
                 f"{name:28s} {backend:12s} "
                 f"{record['wall_time'] * 1000:9.2f} ms "
-                f"({record['nodes']:5d} nodes, {record['pivots']:6d} pivots)"
-                f"{overhead}  core loop {cores['wall_time'] * 1000:7.2f} ms "
+                f"({record['nodes']:5d} nodes, {record['pivots']:6d} pivots, "
+                f"{record['certify_replays']} replays)"
+                f"  core loop {cores['wall_time'] * 1000:7.2f} ms "
                 f"({cores['master_rounds']} rounds, {cores['cores']} cores)"
             )
         results.append(entry)
-
-    summary = {}
-    for backend in BACKENDS:
-        certify_ratios = [
-            entry["backends"][backend]["certify"]["certify_overhead"]
-            for entry in results
-            if "certify" in entry["backends"][backend]
-        ]
-        summary[backend] = {
-            "certify_overhead_geomean": _geomean(certify_ratios),
-        }
-        print(
-            f"{backend}: certify overhead geomean "
-            f"{summary[backend]['certify_overhead_geomean']:.2f}x"
-        )
 
     payload = {
         "benchmark": "milp_hot_path",
         "repeats": REPEATS,
         "scenarios": results,
-        "summary": summary,
         "all_objectives_match": not diverged,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -21,8 +21,8 @@ Intake latency (p50/p99 of submit -> dispatch, milliseconds) is
 reported for trend-watching but not gated: it is absolute wall time
 and CI runners are too noisy to gate on it honestly.
 
-Results land in ``BENCH_service.json`` at the repository root with the
-same ``summary`` shape as ``BENCH_milp.json``.
+Results land in ``BENCH_service.json`` at the repository root, with a
+per-backend ``summary`` that ``check_bench_regression.py`` reads.
 
 Run directly (CI does)::
 

@@ -6,18 +6,12 @@ baseline and fails (exit 1) on any of:
 - a (scenario, backend) pair of the baseline that the fresh run no
   longer measures, or whose objective differs from the baseline's;
 - a node, pivot, certificate-replay or core-loop count (master rounds,
-  cores learned, subproblem LPs) more than the tolerance (default 10%)
-  above the baseline's.  The counts are deterministic,
-  so host speed never enters this gate; a count that fell by more
-  than the tolerance is reported but passes.  The replay count
-  (``certify_replays``: certificates the float pass of
-  ``repro.milp.certify`` left to the ``Fraction`` replay) has a
-  baseline of 0, so any replay fails;
-- a certification overhead (``certify_overhead_geomean``) more than
-  the tolerance above the baseline.  It is a *smaller-is-better* ratio
-  (certify-on wall time over certify-off wall time, geomean across the
-  small/medium scenarios) measured on one host in one process, so host
-  speed divides out of it.
+  cores learned) more than the tolerance (default 10%) above the
+  baseline's.  The counts are deterministic, so host speed never
+  enters this gate; a count that fell by more than the tolerance is
+  reported but passes.  The replay count (``certify_replays``:
+  certificates the float pass of ``repro.milp.certify`` left to the
+  ``Fraction`` replay) has a baseline of 0, so any replay fails.
 
 Also writes a per-scenario markdown table (``--table``) that CI uploads
 as an artifact, so a failing run shows exactly which scenario moved.
@@ -35,11 +29,11 @@ but never gated; a metric present only in the baseline is a hard
 failure (the bench silently stopped measuring something).
 
 The same gate also serves ``BENCH_service.json`` (from
-``bench_service.py``): its summary uses the same per-backend shape, so
-CI runs this script once per benchmark pair.  Its gated metric is
-``warm_hit_rate``, a bigger-is-better ratio that fails more than the
-tolerance below the baseline; the latency percentiles ride along
-ungated.
+``bench_service.py``), so CI runs this script once per benchmark pair.
+Its per-backend ``summary`` holds the gated ``warm_hit_rate``, a
+bigger-is-better ratio that fails more than the tolerance below the
+baseline; the latency percentiles ride along ungated, but like every
+baseline metric they must still be present.
 """
 
 from __future__ import annotations
@@ -59,15 +53,9 @@ DEFAULT_TOLERANCE = 0.10
 #: the 10% gate -- a drop means the store stopped serving.
 GATED_METRICS = ("warm_hit_rate",)
 
-#: Summary metrics under gate where *smaller* is better -- overhead
-#: ratios.  The gate inverts: a fresh value more than ``tolerance``
-#: above the baseline fails.
-OVERHEAD_METRICS = ("certify_overhead_geomean",)
-
 #: Per-(scenario, backend) work counts under gate; smaller is better.
-#: ``certify_replays`` exists only for the certified pairs.  A dotted
-#: name reads a nested record: ``core_loop`` holds the counters of the
-#: engine's default core-guided repair.
+#: A dotted name reads a nested record: ``core_loop`` holds the
+#: counters of the engine's default core-guided repair.
 COUNT_METRICS = (
     "nodes",
     "pivots",
@@ -105,16 +93,14 @@ def metric_value(record: Dict, metric: str):
 def scenario_table(fresh: Dict) -> str:
     """A markdown per-scenario table of the fresh run."""
     lines = [
-        "| scenario | backend | wall (ms) | nodes | pivots | objective | certify |",
-        "|---|---|---:|---:|---:|---:|---:|",
+        "| scenario | backend | wall (ms) | nodes | pivots | objective |",
+        "|---|---|---:|---:|---:|---:|",
     ]
     for (scenario, backend), record in scenario_records(fresh).items():
-        certify = record.get("certify", {}).get("certify_overhead")
-        overhead = "-" if certify is None else f"{certify:.2f}x"
         lines.append(
             f"| {scenario} | {backend} "
             f"| {record['wall_time'] * 1000:.2f} | {record['nodes']} "
-            f"| {record['pivots']} | {record['objective']:g} | {overhead} |"
+            f"| {record['pivots']} | {record['objective']:g} |"
         )
     lines.append("")
     lines.append("| backend | metric | value |")
@@ -174,36 +160,30 @@ def check_scenarios(
 def check_summary(
     baseline: Dict, fresh: Dict, tolerance: float
 ) -> List[str]:
-    """Floors on the GATED_METRICS, ceilings on the OVERHEAD_METRICS."""
+    """Floors on the GATED_METRICS; every other baseline summary metric
+    must still be measured."""
     failures: List[str] = []
     for backend, base_metrics in baseline.get("summary", {}).items():
-        fresh_metrics = fresh.get("summary", {}).get(backend)
-        if fresh_metrics is None:
-            failures.append(f"{backend}: missing from fresh summary")
-            continue
-        for metric in GATED_METRICS + OVERHEAD_METRICS:
-            if metric not in base_metrics:
-                continue  # baseline predates this metric: nothing to gate
+        fresh_metrics = fresh.get("summary", {}).get(backend, {})
+        for metric, base_value in base_metrics.items():
             if metric not in fresh_metrics:
                 failures.append(f"{backend}/{metric}: dropped from fresh run")
                 continue
-            base_value = float(base_metrics[metric])
+            if metric not in GATED_METRICS:
+                continue  # reported in the table, not gated
+            base_value = float(base_value)
             fresh_value = float(fresh_metrics[metric])
-            if metric in GATED_METRICS:
-                bound, kind = base_value * (1.0 - tolerance), "floor"
-                passed = fresh_value >= bound
-            else:
-                bound, kind = base_value * (1.0 + tolerance), "ceiling"
-                passed = fresh_value <= bound
+            floor = base_value * (1.0 - tolerance)
+            passed = fresh_value >= floor
             print(
                 f"{backend:12s} {metric:24s} baseline {base_value:7.3f}  "
-                f"fresh {fresh_value:7.3f}  {kind} {bound:7.3f}  "
+                f"fresh {fresh_value:7.3f}  floor {floor:7.3f}  "
                 f"{'ok' if passed else 'REGRESSED'}"
             )
             if not passed:
                 failures.append(
                     f"{backend}/{metric}: {fresh_value:.3f} beyond the "
-                    f"{kind} {bound:.3f} (baseline {base_value:.3f} "
+                    f"floor {floor:.3f} (baseline {base_value:.3f} "
                     f"+/- {tolerance:.0%})"
                 )
     return failures

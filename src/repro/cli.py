@@ -29,8 +29,8 @@ Commands:
   pivots, wall time);
 - ``serve <dir> [<dir> ...]`` -- run the corpus through the repair
   *service* (:mod:`repro.repair.service`): durable store, per-backend
-  circuit breakers, checkpoint-journal crash recovery
-  (``require_certified`` replay), graceful drain on SIGTERM, and a
+  circuit breakers, checkpoint-journal crash recovery (only certified
+  results replay), graceful drain on SIGTERM, and a
   health/integrity summary at the end;
 - ``answers <dir> --function f --args a,b`` -- consistent query
   answering: the glb/lub of an aggregation function over all
@@ -132,7 +132,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
         objective=objective,
         backend=args.backend,
         strategy=args.strategy,
-        certify=args.certify,
     )
     if args.explain_infeasible:
         try:
@@ -167,8 +166,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     ordered = involvement_order(engine.ground_system, outcome.repair.updates)
     for update in ordered:
         print(f"  {update}")
-    if outcome.certificate is not None:
-        print(f"  certificate: {outcome.certificate}")
+    print(f"  certificate: {outcome.certificate}")
     if outcome.cascade is not None:
         report = outcome.cascade
         print(f"  cascade: {report.resolved_without_milp}/{report.n_violations} "
@@ -237,7 +235,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
             resume=not args.no_resume,
             max_task_retries=args.max_task_retries,
             strategy=args.strategy,
-            certify=args.certify,
         )
     for result in report.results:
         line = f"{result.name}: {result.status}"
@@ -294,7 +291,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         cache_size=args.cache,
         strategy=args.strategy,
-        certify=args.certify,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
         max_task_retries=args.max_task_retries,
@@ -465,13 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: %(default)s)",
     )
     p_repair.add_argument(
-        "--certify", action=argparse.BooleanOptionalAction, default=True,
-        help="verify the repair in exact rational arithmetic against the "
-             "grounded constraints (and let the numerics governor "
-             "re-solve down its degradation ladder on failure); "
-             "--no-certify skips the check (default: on)",
-    )
-    p_repair.add_argument(
         "--stats", action="store_true",
         help="print per-solve statistics (wall time, nodes, pivots, "
              "warm-start hits, heuristic seeding)",
@@ -531,12 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="repair strategy for every task; 'cascade' resolves most "
              "violations without the MILP (default: %(default)s)",
-    )
-    p_batch.add_argument(
-        "--certify", action=argparse.BooleanOptionalAction, default=True,
-        help="exact-arithmetic certification of every task's repair; "
-             "uncertified or ladder-degraded results are never written "
-             "to the checkpoint journal (default: on)",
     )
     p_batch.add_argument(
         "--stats", action="store_true",
@@ -614,11 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(STRATEGIES),
         default="exact",
         help="repair strategy (default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--certify", action=argparse.BooleanOptionalAction, default=True,
-        help="exact-arithmetic certification; only certified results "
-             "enter the store or the journal (default: on)",
     )
     p_serve.add_argument(
         "--breaker-threshold", type=int, default=3,

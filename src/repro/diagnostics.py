@@ -169,9 +169,8 @@ class WorkerCrashError(DiagnosticError):
 class NumericInstabilityError(DiagnosticError):
     """The whole degradation ladder failed exact certification.
 
-    Raised by :func:`repro.milp.solver.solve_with_stats` under
-    ``certify=True`` only after every rung — down to the independent
-    scipy backend — returned an answer the exact-arithmetic certifier
+    Raised by :func:`repro.milp.solver.solve_with_stats` only after
+    every rung — down to the independent scipy backend — returned an answer the exact-arithmetic certifier
     rejected.  ``details["ladder"]`` records the per-rung failures.
     """
 

@@ -18,7 +18,7 @@ object without copying.
 Certification hygiene: because :data:`PERFORMANCE_OPTIONS` are excluded
 from keys, a solve that the numerics governor re-ran down its
 degradation ladder (pricing pinned to Dantzig or Bland) would land on the
-*pristine* fingerprint.  ``solve_with_stats(certify=True)`` therefore
+*pristine* fingerprint.  ``solve_with_stats`` therefore
 only ever stores results from the first, as-requested ladder rung, and
 re-certifies every hit on read — an uncertified or ladder-degraded
 answer can never be served under the pristine key (see

@@ -785,8 +785,7 @@ class NumericsGovernor:
     pricing rungs only exist for ``bnb-simplex``, whose LP core they
     steer, and a solve already running on ``scipy`` has an empty
     ladder (it *is* the last resort).  The governor is consumed by
-    :func:`repro.milp.solver.solve_with_stats` under ``certify=True``,
-    which re-solves down the ladder until a rung's answer passes
+    :func:`repro.milp.solver.solve_with_stats`, which re-solves down the ladder until a rung's answer passes
     :func:`certify_solution`.
     """
 

@@ -141,101 +141,6 @@ def write_mps(model: MILPModel, destination: Optional[Union[str, Path]] = None) 
     return text
 
 
-def write_mps_arrays(
-    arrays,
-    name: str = "model",
-    destination: Optional[Union[str, Path]] = None,
-) -> str:
-    """Serialise sparse-lowered arrays (:class:`SparseArrays`) as MPS.
-
-    Row ordering is fully deterministic regardless of how the CSR
-    blocks were assembled: the ``<=`` block in row order as
-    ``ub<i>``, then the ``=`` block as ``eq<i>``; within a column,
-    entries follow that same row order (the CSC view stores row
-    indices ascending).  Two structurally equal lowerings therefore
-    produce byte-identical MPS text -- which is what makes the export
-    diffable and usable as a regression fixture.
-    """
-    n = arrays.n
-    lines: List[str] = [f"NAME {name}"]
-    if arrays.objective_constant:
-        lines.append(
-            f"* OBJSENSE MIN; objective constant {arrays.objective_constant:g}"
-            " (not representable in MPS)"
-        )
-
-    lines.append("ROWS")
-    lines.append(" N obj")
-    for i in range(arrays.m_ub):
-        lines.append(f" L ub{i}")
-    for i in range(arrays.m_eq):
-        lines.append(f" E eq{i}")
-
-    integral = set(int(j) for j in arrays.integral)
-    ub_csc = arrays.a_ub.csc
-    eq_csc = arrays.a_eq.csc
-    lines.append("COLUMNS")
-    in_integer_block = False
-    marker_count = 0
-    for j in range(n):
-        should_be_integer = j in integral
-        if should_be_integer and not in_integer_block:
-            lines.append(f" MARKER{marker_count} 'MARKER' 'INTORG'")
-            marker_count += 1
-            in_integer_block = True
-        elif not should_be_integer and in_integer_block:
-            lines.append(f" MARKER{marker_count} 'MARKER' 'INTEND'")
-            marker_count += 1
-            in_integer_block = False
-        entries: List[Tuple[str, float]] = []
-        if arrays.costs[j]:
-            entries.append(("obj", float(arrays.costs[j])))
-        rows, values = ub_csc.column(j)
-        for row, value in zip(rows, values):
-            entries.append((f"ub{int(row)}", float(value)))
-        rows, values = eq_csc.column(j)
-        for row, value in zip(rows, values):
-            entries.append((f"eq{int(row)}", float(value)))
-        if not entries:
-            entries.append(("obj", 0.0))
-        for row_name, value in entries:
-            lines.append(f" x{j} {row_name} {value:.12g}")
-    if in_integer_block:
-        lines.append(f" MARKER{marker_count} 'MARKER' 'INTEND'")
-
-    lines.append("RHS")
-    for i in range(arrays.m_ub):
-        if arrays.b_ub[i]:
-            lines.append(f" rhs ub{i} {float(arrays.b_ub[i]):.12g}")
-    for i in range(arrays.m_eq):
-        if arrays.b_eq[i]:
-            lines.append(f" rhs eq{i} {float(arrays.b_eq[i]):.12g}")
-
-    lines.append("BOUNDS")
-    for j in range(n):
-        lower, upper = float(arrays.lower[j]), float(arrays.upper[j])
-        if lower == 0.0 and upper == INF:
-            continue
-        if lower == -INF and upper == INF:
-            lines.append(f" FR bnd x{j}")
-            continue
-        if lower == upper:
-            lines.append(f" FX bnd x{j} {lower:.12g}")
-            continue
-        if lower == -INF:
-            lines.append(f" MI bnd x{j}")
-        elif lower != 0.0:
-            lines.append(f" LO bnd x{j} {lower:.12g}")
-        if upper != INF:
-            lines.append(f" UP bnd x{j} {upper:.12g}")
-
-    lines.append("ENDATA")
-    text = "\n".join(lines) + "\n"
-    if destination is not None:
-        Path(destination).write_text(text, encoding="utf-8")
-    return text
-
-
 # ---------------------------------------------------------------------------
 # Reading
 # ---------------------------------------------------------------------------

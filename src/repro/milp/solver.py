@@ -12,10 +12,12 @@ All backends receive the same :class:`~repro.milp.model.MILPModel` and
 return the same :class:`~repro.milp.model.Solution` shape, so they are
 interchangeable; the repair engine exposes the choice to callers.
 
-:func:`solve_with_stats` is the instrumented variant used by the batch
-engine: it times the call, consults an optional
-:class:`~repro.milp.cache.SolveCache`, and returns a
-:class:`SolveStats` record alongside the solution.
+:func:`solve_with_stats` is the instrumented, certified variant the
+repair engine calls: it times the call, consults an optional
+:class:`~repro.milp.cache.SolveCache`, certifies the answer, and
+returns a :class:`SolveStats` record alongside the solution.
+:func:`solve` stays the raw primitive (IIS probes, consistent answers
+and repair enumeration call it directly).
 """
 
 from __future__ import annotations
@@ -124,14 +126,15 @@ class SolveStats:
     node_cuts: int = 0
     #: Basis refactorizations performed by the revised simplex.
     refactorizations: int = 0
-    #: Exact-arithmetic certification (``certify=True`` solves only):
-    #: ``certified`` is None when certification was off, True/False
-    #: otherwise; ``certification`` names the verification level
-    #: ("milp" / "not-applicable").  ``certification_failures`` counts
-    #: ladder rungs whose answer the certifier rejected before this
-    #: one passed.  ``certify_replays`` counts this solve's
-    #: certificates (every ladder rung, and the re-certification of a
-    #: cache hit) that the float pass left to the ``Fraction`` replay.
+    #: Exact-arithmetic certification: ``certified`` is True for every
+    #: record :func:`solve_with_stats` returns (None on records of other
+    #: phases that carry no certificate); ``certification`` names the
+    #: verification level ("milp" / "not-applicable").
+    #: ``certification_failures`` counts ladder rungs whose answer the
+    #: certifier rejected before this one passed.  ``certify_replays``
+    #: counts this solve's certificates (every ladder rung, and the
+    #: re-certification of a cache hit) that the float pass left to the
+    #: ``Fraction`` replay.
     certified: Optional[bool] = None
     certification: str = ""
     certification_failures: int = 0
@@ -243,6 +246,10 @@ def _stats_from_solution(
     solution: Solution,
     wall_time: float,
     cache_hit: bool,
+    certificate: Certificate,
+    steps: List[str],
+    rejected_rungs: int,
+    replays: int,
 ) -> SolveStats:
     best_bound = solution.stats.get("best_bound")
     phase_times = {
@@ -266,6 +273,12 @@ def _stats_from_solution(
         best_bound=None if best_bound is None else float(best_bound),
         phase_times=phase_times,
         refactorizations=int(solution.stats.get("refactorizations", 0)),
+        certified=certificate.certified,
+        certification=certificate.level,
+        certification_failures=rejected_rungs,
+        certify_replays=replays,
+        ladder_steps=list(steps),
+        degraded=len(steps) > 1,
         bland_fallbacks=int(solution.stats.get("bland_fallbacks", 0)),
         numeric_drift=float(solution.stats.get("numeric_drift", 0.0)),
     )
@@ -276,80 +289,26 @@ def solve_with_stats(
     backend: str = DEFAULT_BACKEND,
     *,
     cache: Optional[SolveCache] = None,
-    certify: bool = False,
     **options,
 ) -> Tuple[Solution, SolveStats]:
-    """Solve *model*, returning ``(solution, stats)``.
+    """Solve and certify *model*, returning ``(solution, stats)``.
+
+    Every answer is certified against the original model
+    (:mod:`repro.milp.certify`: a float pass under a proven error
+    bound, an exact rational replay on doubt).  A rejected answer is
+    re-solved down the numerics degradation ladder
+    (:class:`~repro.milp.certify.NumericsGovernor`) with the suspect
+    artifact disabled, and an exhausted ladder raises
+    :class:`~repro.diagnostics.NumericInstabilityError`.
 
     With a *cache*, the canonical fingerprint of the model is looked up
-    first; a hit skips the backend entirely and is flagged in the
-    returned :class:`SolveStats`.
-
-    With ``certify=True`` every answer is certified against the
-    original model (:mod:`repro.milp.certify`: a float pass under a
-    proven error bound, an exact rational replay on doubt).  A
-    rejected answer is re-solved down the numerics degradation ladder
-    (:class:`~repro.milp.certify.NumericsGovernor`) with the suspect
-    artifact disabled; only results from the pristine first rung are
-    ever cached, cache hits are re-certified before being trusted, and
-    an exhausted ladder raises
-    :class:`~repro.diagnostics.NumericInstabilityError`.
-    """
-    if certify:
-        return _solve_certified(model, backend, cache=cache, **options)
-    started = time.perf_counter()
-    if cache is not None:
-        key = SolveCache.key_for(model, backend, options)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit, _stats_from_solution(
-                model, backend, hit, time.perf_counter() - started, True
-            )
-        solution = solve(model, backend=backend, **options)
-        if solution.status in _CACHEABLE_STATUSES:
-            cache.put(key, solution)
-    else:
-        solution = solve(model, backend=backend, **options)
-    return solution, _stats_from_solution(
-        model, backend, solution, time.perf_counter() - started, False
-    )
-
-
-def _certified_stats(
-    model: MILPModel,
-    backend: str,
-    solution: Solution,
-    wall_time: float,
-    cache_hit: bool,
-    certificate: Certificate,
-    steps: List[str],
-    rejected_rungs: int,
-    replays: int,
-) -> SolveStats:
-    stats = _stats_from_solution(model, backend, solution, wall_time, cache_hit)
-    stats.certified = certificate.certified
-    stats.certification = certificate.level
-    stats.certification_failures = rejected_rungs
-    stats.certify_replays = replays
-    stats.ladder_steps = list(steps)
-    stats.degraded = len(steps) > 1
-    return stats
-
-
-def _solve_certified(
-    model: MILPModel,
-    backend: str,
-    *,
-    cache: Optional[SolveCache],
-    **options,
-) -> Tuple[Solution, SolveStats]:
-    """The ``certify=True`` body of :func:`solve_with_stats`.
-
-    Cache hygiene: performance-only options are excluded from cache
-    keys (:data:`~repro.milp.cache.PERFORMANCE_OPTIONS`), so a
-    ladder-degraded re-solve would land on the *pristine* fingerprint.
-    Only the first ("as-requested") rung may therefore populate the
-    cache — a degraded or uncertified answer never does.
+    first; a hit that re-certifies skips the backend entirely and is
+    flagged in the returned :class:`SolveStats`.  Performance-only
+    options are excluded from cache keys
+    (:data:`~repro.milp.cache.PERFORMANCE_OPTIONS`), so a
+    ladder-degraded re-solve would land on the *pristine* fingerprint:
+    only the first ("as-requested") rung may therefore populate the
+    cache.
     """
     started = time.perf_counter()
     key = None
@@ -365,7 +324,7 @@ def _solve_certified(
             certificate = certify_solution(model, hit)
             replays += certificate.replayed
             if certificate.certified:
-                return hit, _certified_stats(
+                return hit, _stats_from_solution(
                     model, backend, hit, time.perf_counter() - started,
                     True, certificate, ["as-requested"], 0, replays,
                 )
@@ -392,7 +351,7 @@ def _solve_certified(
                 # only first-rung, exact-certified answers ever reach
                 # the durable store (see repro.repair.store).
                 cache.put(key, solution, certified=True)
-            return solution, _certified_stats(
+            return solution, _stats_from_solution(
                 model, step_backend, solution,
                 time.perf_counter() - started, False, certificate, steps,
                 len(rung_failures), replays,

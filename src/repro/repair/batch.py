@@ -85,6 +85,7 @@ from repro.milp.solver import DEFAULT_BACKEND, FALLBACK_BACKEND, SolveStats
 from repro.relational.database import Database
 from repro.repair.cascade import TIER_EXACT, TIERS
 from repro.repair.checkpoint import (
+    HEADER_CERTIFY,
     HEADER_ON_INFEASIBLE,
     CheckpointJournal,
     journal_worthy,
@@ -173,8 +174,8 @@ class BatchItemResult:
     resumed: bool = False
     #: Exact-arithmetic certification verdict of the delivered repair:
     #: True (certified), False (rejected -- the task then surfaces as
-    #: ``status="uncertified"``), or None (certification off, or not
-    #: applicable: consistent / failed tasks carry no repair to check).
+    #: ``status="uncertified"``), or None (not applicable: consistent /
+    #: failed tasks carry no repair to check).
     certified: Optional[bool] = None
     error: Optional[str] = None
     wall_time: float = 0.0
@@ -408,7 +409,6 @@ def _attempt(
     cache: Optional[SolveCache],
     stats_sink: List[SolveStats],
     strategy: str = "exact",
-    certify: bool = True,
 ) -> Tuple[
     str, Optional[Repair], Optional[float], bool, Optional[float],
     Optional[bool],
@@ -426,7 +426,6 @@ def _attempt(
         weights=task.weights,
         solve_cache=cache,
         strategy=strategy,
-        certify=certify,
     )
     try:
         # Pins may demand values the current (consistent) instance does
@@ -472,7 +471,6 @@ def execute_task(
     retry_fallback: bool = True,
     cache: Optional[SolveCache] = None,
     strategy: str = "exact",
-    certify: bool = True,
 ) -> BatchItemResult:
     """Run one task with budget + fallback-backend semantics.
 
@@ -492,7 +490,7 @@ def execute_task(
     stats: List[SolveStats] = []
     try:
         status, repair, objective, approximate, gap, certified = _attempt(
-            task, primary, timeout, cache, stats, strategy, certify
+            task, primary, timeout, cache, stats, strategy
         )
         return BatchItemResult(
             index=index,
@@ -528,7 +526,7 @@ def execute_task(
         fallback_stats: List[SolveStats] = []
         try:
             status, repair, objective, approximate, gap, certified = _attempt(
-                task, fallback, timeout, cache, fallback_stats, strategy, certify
+                task, fallback, timeout, cache, fallback_stats, strategy
             )
             for record in fallback_stats:
                 record.fallback = True
@@ -707,7 +705,7 @@ def _run_chunk(payload: Tuple) -> List[BatchItemResult]:
     """Execute one chunk of entries inside a worker."""
     (
         chunk, default_backend, timeout, retry_fallback, sentinel_dir,
-        strategy, certify,
+        strategy,
     ) = payload
     results = []
     for index, attempt, task in chunk:
@@ -721,7 +719,6 @@ def _run_chunk(payload: Tuple) -> List[BatchItemResult]:
             retry_fallback=retry_fallback,
             cache=_WORKER_CACHE,
             strategy=strategy,
-            certify=certify,
         )
         result.attempts = attempt + 1
         _sentinel(sentinel_dir, index, attempt, "done")
@@ -781,7 +778,6 @@ def _run_generation(
     fault_config: Optional[FaultConfig],
     hard_timeout: Optional[float],
     strategy: str,
-    certify: bool,
     on_result: Callable[[BatchItemResult], None],
 ) -> Tuple[List[_Entry], bool]:
     """Run one pool lifetime; returns (undelivered entries, pool broke).
@@ -810,7 +806,6 @@ def _run_generation(
                 retry_fallback,
                 sentinel_dir,
                 strategy,
-                certify,
             )
             try:
                 futures[pool.submit(_run_chunk, payload)] = chunk
@@ -875,7 +870,6 @@ def _run_pool(
     hard_timeout: Optional[float],
     fault_config: Optional[FaultConfig],
     strategy: str,
-    certify: bool,
     on_result: Callable[[BatchItemResult], None],
 ) -> int:
     """Drive the pool to completion through crashes; returns respawn count."""
@@ -922,7 +916,6 @@ def _run_pool(
                 fault_config=fault_config,
                 hard_timeout=hard_timeout,
                 strategy=strategy,
-                certify=certify,
                 on_result=on_result,
             )
             generation += 1
@@ -992,7 +985,6 @@ def repair_batch(
     hard_timeout: Optional[float] = None,
     fault_config: Optional[FaultConfig] = None,
     strategy: str = "exact",
-    certify: bool = True,
 ) -> BatchReport:
     """Repair every task, in parallel when ``workers >= 1``.
 
@@ -1029,13 +1021,13 @@ def repair_batch(
     checkpoint identity: a journal written under one strategy is never
     replayed for another.
 
-    ``certify`` (default on) makes every engine verify its repair in
-    exact rational arithmetic (:mod:`repro.milp.certify`) and lets the
-    numerics governor re-solve down its degradation ladder on a
+    Every engine certifies its repair (:mod:`repro.milp.certify`), and
+    the numerics governor re-solves down its degradation ladder on a
     certification failure.  Results that are uncertified or that only
     exist because the ladder degraded the solve are **never written to
-    the checkpoint journal**: a resumed run must re-derive them from
-    scratch rather than replay a numerically suspect answer.
+    the checkpoint journal**, and a resume never replays a journaled
+    repair that is not certified: the run re-derives it from scratch
+    rather than replay a numerically suspect answer.
     """
     if strategy not in STRATEGIES:
         raise ValueError(
@@ -1058,7 +1050,7 @@ def repair_batch(
             "timeout": timeout,
             "on_infeasible": HEADER_ON_INFEASIBLE,
             "strategy": strategy,
-            "certify": certify,
+            "certify": HEADER_CERTIFY,
         }
         replayed = journal.start_run(
             task_list, fingerprints, header_meta, resume=resume
@@ -1069,7 +1061,7 @@ def repair_batch(
         results[index] = result
 
     def deliver(result: BatchItemResult) -> None:
-        if journal is not None and journal_worthy(result, certify):
+        if journal is not None and journal_worthy(result):
             journal.append_result(result, fingerprints[result.index])
         results[result.index] = result
 
@@ -1105,7 +1097,6 @@ def repair_batch(
                             retry_fallback=retry_fallback,
                             cache=cache,
                             strategy=strategy,
-                            certify=certify,
                         )
                         result.attempts = crashes + 1
                         break
@@ -1150,7 +1141,6 @@ def repair_batch(
         hard_timeout=hard_timeout,
         fault_config=fault_config,
         strategy=strategy,
-        certify=certify,
         on_result=deliver,
     )
     assert all(result is not None for result in results)

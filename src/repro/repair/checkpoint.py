@@ -52,6 +52,13 @@ JOURNAL_VERSION = 1
 #: are ones this code cannot produce.
 HEADER_ON_INFEASIBLE = "raise"
 
+#: The ``certify`` entry of every journal header: every repair is
+#: certified.  Older versions wrote this key too, ``true`` by default,
+#: so their journals still resume; one written with certification
+#: switched off fails the header check, because its results were never
+#: certified.
+HEADER_CERTIFY = True
+
 #: The :class:`SolveStats` fields a journaled stats entry may set.
 #: Journals written by older versions can carry fields that have since
 #: been removed (such as the cut-rejection counter); loading drops them.
@@ -108,21 +115,18 @@ def task_fingerprint(
     return digest.hexdigest()
 
 
-def journal_worthy(result: "BatchItemResult", certify: bool) -> bool:  # noqa: F821
+def journal_worthy(result: "BatchItemResult") -> bool:  # noqa: F821
     """May *result* be journalled?  Certification hygiene.
 
-    A journal is replayed verbatim on resume, so with *certify* on, an
-    uncertified or ladder-degraded result is never persisted: the
-    resumed run re-solves it instead of inheriting a suspect answer
-    (the same rule the solve cache applies to its disk tier).
+    A journal is replayed verbatim on resume, so an uncertified or
+    ladder-degraded result is never persisted: the resumed run
+    re-solves it instead of inheriting a suspect answer (the same rule
+    the solve cache applies to its disk tier).
     """
     return not (
-        certify
-        and (
-            result.status == "uncertified"
-            or result.certified is False
-            or any(s.degraded for s in result.stats)
-        )
+        result.status == "uncertified"
+        or result.certified is False
+        or any(s.degraded for s in result.stats)
     )
 
 
@@ -356,7 +360,6 @@ class CheckpointJournal:
         header_meta: Dict[str, Any],
         *,
         resume: bool = True,
-        require_certified: bool = False,
     ) -> Dict[int, "BatchItemResult"]:  # noqa: F821
         """Open the journal for a run; returns the results to replay.
 
@@ -369,10 +372,7 @@ class CheckpointJournal:
         if resume and self.exists():
             self.truncate_torn_tail()
             completed, _ = self.load_completed(
-                tasks,
-                fingerprints,
-                expected_meta=header_meta,
-                require_certified=require_certified,
+                tasks, fingerprints, expected_meta=header_meta
             )
             return completed
         if self.exists():
@@ -386,7 +386,6 @@ class CheckpointJournal:
         fingerprints: List[str],
         *,
         expected_meta: Optional[Dict[str, Any]] = None,
-        require_certified: bool = False,
     ) -> Tuple[Dict[int, "BatchItemResult"], LoadedJournal]:  # noqa: F821
         """Results reusable for *tasks*, keyed by task index.
 
@@ -397,12 +396,11 @@ class CheckpointJournal:
         raises :class:`CheckpointError` because it means the journal
         belongs to a different batch configuration.
 
-        ``require_certified=True`` additionally drops journaled
-        *repaired* results whose ``certified`` flag is not ``True`` --
-        the crash-recovery replay of the repair service, which promises
-        to re-solve any uncertified tail rather than inherit it.
-        (Results that carry no repair to certify -- consistent or
-        failed tasks -- pass through on their status alone.)
+        Journaled *repaired* results whose ``certified`` flag is not
+        ``True`` are dropped too: a resume re-solves an uncertified
+        tail rather than inherit it.  (Results that carry no repair to
+        certify -- consistent or failed tasks -- pass through on their
+        status alone.)
         """
         loaded = self.load()
         for key, expected in (expected_meta or {}).items():
@@ -424,8 +422,7 @@ class CheckpointJournal:
             if record.get("fingerprint") != fingerprints[index]:
                 continue  # the input changed since the journal was written
             if (
-                require_certified
-                and record.get("status") == "repaired"
+                record.get("status") == "repaired"
                 and record.get("certified") is not True
             ):
                 continue  # uncertified tail: re-solve, never replay

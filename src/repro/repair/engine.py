@@ -13,11 +13,12 @@ aggregate constraints and answers:
 - ``apply(repair)`` / ``is_repair(repair)`` -- repair application and
   verification.
 
-Every returned repair is *verified*: the engine applies it to a copy
-of the database and re-checks all constraints, so a Big-M artefact or
-a solver tolerance issue can never silently hand back a non-repair.
-If the MILP comes back infeasible, or a ``y`` variable lands on the
-Big-M bound, the engine escalates M (x100, a bounded number of times)
+Every returned repair is *certified*: the repaired document is
+re-checked against the ground constraints in exact arithmetic
+(:mod:`repro.milp.certify`), so a Big-M artefact or a solver tolerance
+issue can never silently hand back a non-repair.  If the MILP comes
+back infeasible, or a ``y`` variable lands on the Big-M bound, the
+engine escalates M (x100, at most :data:`MAX_ESCALATIONS` times)
 before concluding the instance is unrepairable.
 """
 
@@ -60,7 +61,6 @@ from repro.repair.cascade import (
 from repro.repair.cores import CORE_BACKENDS, CoreInfeasible, solve_cores
 from repro.repair.heuristic import CHANGE_TOL, greedy_repair
 from repro.repair.translation import (
-    BigMStrategy,
     ConflictReport,
     MILPTranslation,
     RepairObjective,
@@ -71,6 +71,11 @@ from repro.repair.updates import AtomicUpdate, Repair, apply_repair
 
 #: Exact backends whose search accepts an incumbent seed.
 _SEEDABLE_BACKENDS = frozenset({"bnb", "bnb-simplex"})
+
+#: How many times the Big-M loop multiplies M by 100 before it gives
+#: up; :meth:`RepairEngine.explain_infeasible` translates at the M it
+#: gives up at.
+MAX_ESCALATIONS = 3
 
 #: Repair strategies: ``"exact"`` translates every violation straight
 #: into ``S*(AC)``; ``"cascade"`` runs the tiered cascade of
@@ -114,12 +119,10 @@ class RepairOutcome:
     strategy: str = "exact"
     cascade: Optional[CascadeReport] = None
     #: Exact-arithmetic certification (:mod:`repro.milp.certify`):
-    #: True when the repaired document was re-verified against the
-    #: paper-level ground constraints in rationals, None when
-    #: certification was off (``certify=False``).  A repair
-    #: with ``certified=False`` is never returned -- the engine
-    #: escalates or raises instead.  ``certificate`` carries the
-    #: document-level evidence.
+    #: True once the repaired document was re-verified against the
+    #: paper-level ground constraints.  A repair that fails the check
+    #: is never returned -- the engine escalates or raises instead.
+    #: ``certificate`` carries the document-level evidence.
     certified: Optional[bool] = None
     certificate: Optional[Certificate] = None
 
@@ -144,14 +147,10 @@ class RepairEngine:
         constraints: Sequence[AggregateConstraint],
         *,
         backend: str = DEFAULT_BACKEND,
-        big_m_strategy: BigMStrategy = BigMStrategy.PRACTICAL,
-        max_escalations: int = 3,
         objective: RepairObjective = RepairObjective.CARDINALITY,
         weights: Optional[Mapping[Cell, float]] = None,
         solve_cache: Optional[SolveCache] = None,
-        seed_incumbent: bool = True,
         strategy: str = "exact",
-        certify: bool = True,
     ) -> None:
         """``objective`` / ``weights`` select the minimality semantics
         (see :class:`~repro.repair.translation.RepairObjective`); the
@@ -160,11 +159,6 @@ class RepairEngine:
         solver; every solve appends a
         :class:`~repro.milp.solver.SolveStats` record to
         :attr:`solve_stats`.
-
-        ``seed_incumbent`` steers the branch-and-bound backends
-        (``"bnb"`` / ``"bnb-simplex"``): it seeds the search with the
-        greedy repair of :mod:`repro.repair.heuristic` as an initial
-        incumbent, which never changes which repair is optimal.
 
         When the MILP stays infeasible after every Big-M escalation the
         engine raises :class:`UnrepairableError`;
@@ -178,14 +172,13 @@ class RepairEngine:
         the exact backend.  The cascade requires the cardinality
         objective; pins bypass it straight to the exact path.
 
-        ``certify`` (default True) makes every answer self-verifying:
-        solver incumbents are replayed against the original MILP in
-        exact rational arithmetic with the numerics degradation ladder
+        Every answer is self-verifying: solver incumbents are certified
+        against the original MILP with the numerics degradation ladder
         behind them (:mod:`repro.milp.certify`), and the final repaired
         document is independently re-checked against the paper-level
         ground constraints -- so a bug anywhere in lowering or warm
-        starts surfaces as a typed failure instead of a
-        silently wrong repair."""
+        starts surfaces as a typed failure instead of a silently wrong
+        repair."""
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {strategy!r}"
@@ -196,15 +189,11 @@ class RepairEngine:
                 "the exact strategy for weighted objectives"
             )
         self.strategy = strategy
-        self.certify = bool(certify)
         self.database = database
         self.constraints = list(constraints)
         self.backend = backend
-        self.seed_incumbent = seed_incumbent
         self.solve_cache = solve_cache
         self.solve_stats: List[SolveStats] = []
-        self.big_m_strategy = big_m_strategy
-        self.max_escalations = max_escalations
         self.objective = objective
         self.weights = dict(weights) if weights else None
         for constraint in self.constraints:
@@ -272,8 +261,8 @@ class RepairEngine:
         ``gap``) when it has one, and raises
         :class:`~repro.diagnostics.SolveTimeoutError` otherwise.  The
         core loop's incumbent is the greedy repair of the components it
-        did not settle (when ``seed_incumbent`` is on), and its gap
-        rests on the hitting number the loop proved.
+        did not settle, and its gap rests on the hitting number the loop
+        proved.
         """
         if self.strategy == "cascade" and not pins:
             # Pins bypass the cascade: the closed-form tiers reason
@@ -299,7 +288,7 @@ class RepairEngine:
         The paper's Section 5 path, for every backend and objective:
         ``S*(AC)`` is translated, solved (with the greedy incumbent
         seed on the branch-and-bound backends) and the solution read
-        back, escalating M (x100, at most ``max_escalations`` times)
+        back, escalating M (x100, at most :data:`MAX_ESCALATIONS` times)
         while the MILP is infeasible, the repair fails verification or
         a ``y`` variable sits on the bound.  The outcome carries the
         translation and the solution.  *solver_options* go to the
@@ -308,7 +297,9 @@ class RepairEngine:
         ``time_limit`` is shared across escalations.  On expiry the
         backends return their best incumbent as an *approximate*
         repair; only when no incumbent exists at all does the engine
-        raise :class:`~repro.diagnostics.SolveTimeoutError`.
+        raise :class:`~repro.diagnostics.SolveTimeoutError`.  A
+        ``max_nodes`` budget that ends without an incumbent raises it
+        too: the instance may well be repairable.
         """
         big_m_override: Optional[float] = None
         escalations = 0
@@ -320,7 +311,6 @@ class RepairEngine:
                 self.database,
                 self.constraints,
                 pins=pins,
-                strategy=self.big_m_strategy,
                 big_m=big_m_override,
                 grounds=self.ground_system,
                 objective=self.objective,
@@ -341,9 +331,9 @@ class RepairEngine:
             if solution.status is SolveStatus.INFEASIBLE:
                 logger.info(
                     "MILP infeasible at M=%g (escalation %d/%d)",
-                    translation.big_m, escalations, self.max_escalations,
+                    translation.big_m, escalations, MAX_ESCALATIONS,
                 )
-                if escalations >= self.max_escalations:
+                if escalations >= MAX_ESCALATIONS:
                     raise UnrepairableError(
                         f"MILP infeasible after {escalations} Big-M "
                         f"escalations; no repair exists within |value| <= "
@@ -360,7 +350,13 @@ class RepairEngine:
                     big_m=translation.big_m,
                 )
             if not solution.is_usable:
-                if solution.stats.get("deadline_expired"):
+                if (
+                    solution.status is SolveStatus.ITERATION_LIMIT
+                    or solution.stats.get("deadline_expired")
+                ):
+                    # A node or wall-clock budget ran out before the
+                    # search found any repair: a timeout, not a proof
+                    # that none exists.
                     raise SolveTimeoutError(
                         "solve budget expired before any feasible repair "
                         "was found",
@@ -375,7 +371,7 @@ class RepairEngine:
             if not self.is_consistent(repaired):
                 # Numerically possible only if M was too tight for some
                 # intermediate value; escalate and retry.
-                if escalations >= self.max_escalations:
+                if escalations >= MAX_ESCALATIONS:
                     raise UnrepairableError(
                         "solver returned a candidate that fails verification "
                         "even after Big-M escalation"
@@ -385,7 +381,7 @@ class RepairEngine:
                 continue
             if (
                 translation.binding_deltas(solution)
-                and escalations < self.max_escalations
+                and escalations < MAX_ESCALATIONS
                 and not deadline.expired
             ):
                 # The bound binds: a smaller-cardinality repair might be
@@ -393,24 +389,22 @@ class RepairEngine:
                 big_m_override = translation.big_m * 100.0
                 escalations += 1
                 continue
-            certificate: Optional[Certificate] = None
-            if self.certify:
-                # Document-level exactness gate, independent of the
-                # MILP-level certificate inside solve_with_stats: the
-                # repaired cells are replayed against the paper-level
-                # ground constraints in rationals, so even a bug in
-                # the translation itself cannot escape.
-                certificate = certify_repair(translation, repair)
-                if not certificate.certified:
-                    if escalations >= self.max_escalations:
-                        raise NumericInstabilityError(
-                            "repair failed exact-arithmetic document "
-                            "certification even after Big-M escalation",
-                            certificate=certificate.as_dict(),
-                        )
-                    big_m_override = translation.big_m * 100.0
-                    escalations += 1
-                    continue
+            # Document-level exactness gate, independent of the
+            # MILP-level certificate inside solve_with_stats: the
+            # repaired cells are checked against the paper-level ground
+            # constraints, so even a bug in the translation itself
+            # cannot escape.
+            certificate = certify_repair(translation, repair)
+            if not certificate.certified:
+                if escalations >= MAX_ESCALATIONS:
+                    raise NumericInstabilityError(
+                        "repair failed exact-arithmetic document "
+                        "certification even after Big-M escalation",
+                        certificate=certificate.as_dict(),
+                    )
+                big_m_override = translation.big_m * 100.0
+                escalations += 1
+                continue
             approximate = solution.status is SolveStatus.FEASIBLE_GAP
             logger.info(
                 "%s repair found: objective=%g, %d update(s), "
@@ -428,7 +422,7 @@ class RepairEngine:
                 stats=self.solve_stats[stats_start:],
                 approximate=approximate,
                 gap=solution.gap,
-                certified=certificate.certified if certificate else None,
+                certified=certificate.certified,
                 certificate=certificate,
             )
 
@@ -497,11 +491,7 @@ class RepairEngine:
             if outcome.approximate:
                 gap += outcome.gap or 0.0
         if unsettled:
-            changes = (
-                self._greedy_changes(unsettled, pins)
-                if self.seed_incumbent
-                else None
-            )
+            changes = self._greedy_changes(unsettled, pins)
             if changes is None:
                 raise SolveTimeoutError(
                     "solve budget expired before any feasible repair was "
@@ -517,18 +507,12 @@ class RepairEngine:
             for cell, value in assignment.items()
         )
         repaired = apply_repair(self.database, repair)
-        certificate: Optional[Certificate] = None
-        if self.certify:
-            certificate = certify_database(self.ground_system, repaired)
-            if not certificate.certified:
-                raise NumericInstabilityError(
-                    "core-loop repair failed exact-arithmetic database "
-                    "certification",
-                    certificate=certificate.as_dict(),
-                )
-        elif not self.is_consistent(repaired):
+        certificate = certify_database(self.ground_system, repaired)
+        if not certificate.certified:
             raise NumericInstabilityError(
-                "core-loop repair leaves a ground constraint violated"
+                "core-loop repair failed exact-arithmetic database "
+                "certification",
+                certificate=certificate.as_dict(),
             )
         counters = result.stats
         self.solve_stats.append(
@@ -539,8 +523,8 @@ class RepairEngine:
                 objective=float(repair.cardinality),
                 gap=gap,
                 phase="cores",
-                certified=certificate.certified if certificate else None,
-                certification=certificate.level if certificate else "",
+                certified=certificate.certified,
+                certification=certificate.level,
                 components=counters.components,
                 master_rounds=counters.master_rounds,
                 cores=counters.cores,
@@ -560,7 +544,7 @@ class RepairEngine:
             stats=self.solve_stats[stats_start:],
             approximate=approximate,
             gap=gap,
-            certified=certificate.certified if certificate else None,
+            certified=certificate.certified,
             certificate=certificate,
         )
 
@@ -581,7 +565,6 @@ class RepairEngine:
             self.database,
             self.constraints,
             pins=pinned or None,
-            strategy=self.big_m_strategy,
             grounds=grounds,
             objective=self.objective,
         )
@@ -607,12 +590,8 @@ class RepairEngine:
             database,
             self.constraints,
             backend=self.backend,
-            big_m_strategy=self.big_m_strategy,
-            max_escalations=self.max_escalations,
             objective=self.objective,
             solve_cache=self.solve_cache,
-            seed_incumbent=self.seed_incumbent,
-            certify=self.certify,
         )
         child._grounding._system = list(grounds)
         return child
@@ -699,19 +678,17 @@ class RepairEngine:
                 "cascade verification failed: the combined repair leaves "
                 "a ground constraint violated"
             )
-        certificate: Optional[Certificate] = None
-        if self.certify:
-            # T3-T4 exactness gate: the finished working database is
-            # replayed against every ground constraint in rationals --
-            # the closed-form tiers mutate cells outside any MILP, so
-            # only a database-level certificate covers them all.
-            certificate = certify_database(self.ground_system, final)
-            if not certificate.certified:
-                raise NumericInstabilityError(
-                    "cascade repair failed exact-arithmetic database "
-                    "certification",
-                    certificate=certificate.as_dict(),
-                )
+        # T3-T4 exactness gate: the finished working database is
+        # checked against every ground constraint -- the closed-form
+        # tiers mutate cells outside any MILP, so only a database-level
+        # certificate covers them all.
+        certificate = certify_database(self.ground_system, final)
+        if not certificate.certified:
+            raise NumericInstabilityError(
+                "cascade repair failed exact-arithmetic database "
+                "certification",
+                certificate=certificate.as_dict(),
+            )
         logger.info(
             "cascade repair found: %d update(s), %d/%d violation(s) "
             "resolved before the MILP%s",
@@ -731,7 +708,7 @@ class RepairEngine:
             gap=gap,
             strategy="cascade",
             cascade=report,
-            certified=certificate.certified if certificate else None,
+            certified=certificate.certified,
             certificate=certificate,
         )
 
@@ -758,26 +735,23 @@ class RepairEngine:
         ``phase="iis"`` (``nodes`` carries the probe count).
         """
         deadline = Deadline(time_limit)
-        translation = translate(
+        base = translate(
             self.database,
             self.constraints,
             pins=pins,
-            strategy=self.big_m_strategy,
             grounds=self.ground_system,
             objective=self.objective,
             weights=self.weights,
         )
-        if self.max_escalations > 0:
-            translation = translate(
-                self.database,
-                self.constraints,
-                pins=pins,
-                strategy=self.big_m_strategy,
-                big_m=translation.big_m * (100.0 ** self.max_escalations),
-                grounds=self.ground_system,
-                objective=self.objective,
-                weights=self.weights,
-            )
+        translation = translate(
+            self.database,
+            self.constraints,
+            pins=pins,
+            big_m=base.big_m * (100.0 ** MAX_ESCALATIONS),
+            grounds=self.ground_system,
+            objective=self.objective,
+            weights=self.weights,
+        )
         started = time.perf_counter()
         iis = extract_iis(
             translation.model,
@@ -811,11 +785,7 @@ class RepairEngine:
             # solve; every exact backend honours ``time_limit``.
             options["time_limit"] = deadline.remaining()
         seeded_objective: Optional[float] = None
-        if (
-            self.backend in _SEEDABLE_BACKENDS
-            and self.seed_incumbent
-            and "incumbent" not in options
-        ):
+        if self.backend in _SEEDABLE_BACKENDS and "incumbent" not in options:
             seed = greedy_repair(translation, deadline=deadline)
             if seed is not None:
                 options["incumbent"] = seed.assignment
@@ -824,7 +794,6 @@ class RepairEngine:
             translation.model,
             backend=self.backend,
             cache=self.solve_cache,
-            certify=self.certify,
             **options,
         )
         if seeded_objective is not None:

@@ -36,10 +36,10 @@ existing engine in the machinery that setting needs:
   ``<journal>.pending`` manifest, and stops.  Nothing is lost, nothing
   is half-done;
 - **crash recovery** -- a service restarted after ``kill -9`` replays
-  its checkpoint journal against the resubmitted corpus
-  (``require_certified=True``: an uncertified tail is re-solved, never
-  inherited) and the store makes the re-solves disk hits, so the
-  restarted run completes identically to an uninterrupted one.
+  its checkpoint journal against the resubmitted corpus (an uncertified
+  tail is re-solved, never inherited) and the store makes the re-solves
+  disk hits, so the restarted run completes identically to an
+  uninterrupted one.
 
 The service is deliberately single-threaded between :meth:`submit` and
 :meth:`process_pending`: parallelism lives inside ``repair_batch``'s
@@ -72,6 +72,7 @@ from repro.repair.batch import (
     respawn_delay,
 )
 from repro.repair.checkpoint import (
+    HEADER_CERTIFY,
     HEADER_ON_INFEASIBLE,
     CheckpointJournal,
     journal_worthy,
@@ -187,7 +188,6 @@ class ServiceConfig:
     timeout: Optional[float] = None
     cache_size: int = DEFAULT_CACHE_SIZE
     strategy: str = "exact"
-    certify: bool = True
     #: Intake queue high watermark; ``submit`` above it is refused.
     max_pending: int = DEFAULT_MAX_PENDING
     #: Suggested resubmission delay carried by ``OverloadedError``.
@@ -439,7 +439,6 @@ class RepairService:
                         retry_fallback=False,
                         cache=self.cache,
                         strategy=cfg.strategy,
-                        certify=cfg.certify,
                     )
                     result.attempts = crashes + 1
                     break
@@ -489,14 +488,14 @@ class RepairService:
             "timeout": self.config.timeout,
             "on_infeasible": HEADER_ON_INFEASIBLE,
             "strategy": self.config.strategy,
-            "certify": self.config.certify,
+            "certify": HEADER_CERTIFY,
         }
 
     def _deliver(self, result: BatchItemResult, task: RepairTask) -> None:
         # Refusals are not results: a restart must retry them.
         if (
             self._journal is not None
-            and journal_worthy(result, self.config.certify)
+            and journal_worthy(result)
             and result.status not in ("breaker_open", "overloaded")
         ):
             if not self._journal.exists():
@@ -520,9 +519,8 @@ class RepairService:
 
         With a journal configured and ``resume=True``, completed tasks
         from a previous (possibly killed) incarnation are replayed --
-        with ``require_certified=True``, so an uncertified tail is
-        re-solved rather than inherited -- and only the remainder is
-        executed.  The store then turns most of those re-solves into
+        an uncertified tail is re-solved rather than inherited -- and
+        only the remainder is executed.  The store then turns most of those re-solves into
         disk hits, which is what makes restart-and-complete cheap.
         A drain request stops the loop between tasks; the report then
         covers only the delivered prefix and :meth:`drain` has recorded
@@ -539,11 +537,7 @@ class RepairService:
         if self._journal is not None:
             self._results.update(
                 self._journal.start_run(
-                    task_list,
-                    fingerprints,
-                    header_meta,
-                    resume=resume,
-                    require_certified=self.config.certify,
+                    task_list, fingerprints, header_meta, resume=resume
                 )
             )
         with native_output_to_stderr():

@@ -31,7 +31,7 @@ Robustness contract (the reason this module exists at all):
 - **admission control** -- the store never decides what is safe to
   persist; callers do.  :class:`~repro.milp.cache.SolveCache` only
   forwards first-rung-**certified** results (see
-  ``solve_with_stats(certify=True)``), and every hit is re-certified
+  :func:`~repro.milp.solver.solve_with_stats`), and every hit is re-certified
   on read by the solver, so a poisoned-but-checksummed row still
   cannot reach a caller.
 

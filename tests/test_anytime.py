@@ -124,15 +124,38 @@ def test_wall_clock_budget_with_incumbent_is_approximate(hard_instance):
     assert outcome.objective - outcome.gap <= outcome.objective
 
 
-def test_expired_budget_without_incumbent_raises_typed_timeout(hard_instance):
+def _no_greedy_repair(monkeypatch):
+    """Leave the engine without its greedy incumbent."""
+    monkeypatch.setattr(engine_module, "greedy_repair", lambda *a, **k: None)
+
+
+def test_expired_budget_without_incumbent_raises_typed_timeout(
+    hard_instance, monkeypatch
+):
     workload, database = hard_instance
-    engine = RepairEngine(
-        database, workload.constraints, backend="bnb", seed_incumbent=False
-    )
+    _no_greedy_repair(monkeypatch)
+    engine = RepairEngine(database, workload.constraints, backend="bnb")
     for method in (engine.find_card_minimal_repair, engine.find_big_m_repair):
         with pytest.raises(SolveTimeoutError) as info:
             method(time_limit=1e-9)
         assert info.value.code == "timeout"
+
+
+def test_node_budget_without_incumbent_raises_typed_timeout(
+    hard_instance, monkeypatch
+):
+    """A node budget that ends before the search finds any repair says
+    nothing about whether one exists: the typed timeout, which batch
+    retries on the fallback backend, not "unrepairable"."""
+    workload, database = hard_instance
+    _no_greedy_repair(monkeypatch)
+    engine = RepairEngine(database, workload.constraints, backend="bnb")
+    with pytest.raises(SolveTimeoutError) as info:
+        engine.find_big_m_repair(max_nodes=1)
+    assert info.value.code == "timeout"
+    assert classify_failure(info.value) == "timeout"
+    [record] = engine.solve_stats
+    assert record.status == "iteration_limit" and not record.heuristic_seeded
 
 
 class _ExpiresAtCheck(Deadline):
@@ -209,9 +232,8 @@ def test_core_loop_cut_without_the_greedy_seed_raises_typed_timeout(
 ):
     workload, database = hard_instance
     monkeypatch.setattr(engine_module, "Deadline", lambda budget: _ExpiresAtCheck(2))
-    engine = RepairEngine(
-        database, workload.constraints, backend="bnb", seed_incumbent=False
-    )
+    _no_greedy_repair(monkeypatch)
+    engine = RepairEngine(database, workload.constraints, backend="bnb")
     with pytest.raises(SolveTimeoutError) as info:
         engine.find_card_minimal_repair(time_limit=60.0)
     assert info.value.code == "timeout"

@@ -113,7 +113,7 @@ def corrupted_paper_task(bump: float = 7.0):
 class TestCertifySolution:
     def test_valid_incumbent_certifies(self):
         model = small_milp()
-        solution, stats = solve_with_stats(model, backend="bnb", certify=True)
+        solution, stats = solve_with_stats(model, backend="bnb")
         assert stats.certified is True
         assert stats.certification == "milp"
         assert stats.ladder_steps == ["as-requested"]
@@ -191,13 +191,6 @@ class TestDocumentCertificates:
         outcome = engine.find_card_minimal_repair()
         assert outcome.certified is True
         assert outcome.certificate.level == "database"
-
-    def test_certify_off_leaves_outcome_unflagged(self):
-        database, constraints = corrupted_paper_task()
-        engine = RepairEngine(database, constraints, certify=False)
-        outcome = engine.find_card_minimal_repair()
-        assert outcome.certified is None
-        assert outcome.certificate is None
 
     def test_planted_wrong_repair_is_rejected(self):
         database, constraints = corrupted_paper_task()
@@ -323,13 +316,11 @@ def _permute_variables(model: MILPModel, seed: int) -> MILPModel:
 class TestMetamorphicInvariance:
     def test_pow2_row_scaling_preserves_cardinality_and_verdict(self, backend):
         model, cardinality = _repair_model()
-        base, base_stats = solve_with_stats(model, backend=backend, certify=True)
+        base, base_stats = solve_with_stats(model, backend=backend)
         assert base_stats.certified is True
         for seed in derived_seeds(3):
             scaled = _scale_rows_pow2(model, seed)
-            solution, stats = solve_with_stats(
-                scaled, backend=backend, certify=True
-            )
+            solution, stats = solve_with_stats(scaled, backend=backend)
             assert stats.certified is True, describe_seed(seed)
             assert solution.objective == pytest.approx(
                 base.objective, abs=1e-6
@@ -340,13 +331,11 @@ class TestMetamorphicInvariance:
 
     def test_variable_permutation_preserves_cardinality_and_verdict(self, backend):
         model, cardinality = _repair_model()
-        base, base_stats = solve_with_stats(model, backend=backend, certify=True)
+        base, base_stats = solve_with_stats(model, backend=backend)
         assert base_stats.certified is True
         for seed in derived_seeds(3):
             permuted = _permute_variables(model, seed)
-            solution, stats = solve_with_stats(
-                permuted, backend=backend, certify=True
-            )
+            solution, stats = solve_with_stats(permuted, backend=backend)
             assert stats.certified is True, describe_seed(seed)
             assert solution.objective == pytest.approx(
                 base.objective, abs=1e-6
@@ -368,9 +357,7 @@ class TestNumericNoiseChaos:
         for seed in derived_seeds(3):
             noisy, injections = inject_numeric_noise(model, seed=seed, index=0)
             assert injections, describe_seed(seed)
-            solution, stats = solve_with_stats(
-                noisy, backend=backend, certify=True
-            )
+            solution, stats = solve_with_stats(noisy, backend=backend)
             assert stats.certified is True, describe_seed(seed)
             assert solution.objective == pytest.approx(
                 float(cardinality), abs=1e-6
@@ -456,7 +443,7 @@ class TestDegradationLadder:
     def test_corrupt_backend_degrades_to_scipy(self, monkeypatch):
         monkeypatch.setitem(solver._BACKENDS, "bnb", _corrupt_backend)
         model = small_milp()
-        solution, stats = solve_with_stats(model, backend="bnb", certify=True)
+        solution, stats = solve_with_stats(model, backend="bnb")
         assert stats.certified is True
         assert stats.degraded is True
         assert stats.ladder_steps == ["as-requested", "backend:scipy"]
@@ -469,21 +456,13 @@ class TestDegradationLadder:
         monkeypatch.setitem(solver._BACKENDS, "scipy", _corrupt_backend)
         model = small_milp()
         with pytest.raises(NumericInstabilityError) as excinfo:
-            solve_with_stats(model, backend="bnb", certify=True)
+            solve_with_stats(model, backend="bnb")
         assert classify_failure(excinfo.value) == "uncertified"
         assert excinfo.value.details["ladder"]
         assert all(
             rung["certified"] is False
             for rung in excinfo.value.details["ladder"]
         )
-
-    def test_without_certify_corrupt_answer_escapes(self, monkeypatch):
-        """The control: certify=False is exactly the old behaviour."""
-        monkeypatch.setitem(solver._BACKENDS, "bnb", _corrupt_backend)
-        model = small_milp()
-        solution, stats = solve_with_stats(model, backend="bnb", certify=False)
-        assert solution.values["x"] == -50.0  # the lie goes unchallenged
-        assert stats.certified is None
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +475,17 @@ class TestCacheHygiene:
         monkeypatch.setitem(solver._BACKENDS, "bnb", _corrupt_backend)
         cache = SolveCache()
         model = small_milp()
-        _, stats = solve_with_stats(model, backend="bnb", cache=cache, certify=True)
+        _, stats = solve_with_stats(model, backend="bnb", cache=cache)
         assert stats.degraded is True
         assert len(cache) == 0
 
     def test_pristine_result_is_cached_and_recertified_on_hit(self):
         cache = SolveCache()
         model = small_milp()
-        _, first = solve_with_stats(model, backend="bnb", cache=cache, certify=True)
+        _, first = solve_with_stats(model, backend="bnb", cache=cache)
         assert first.cache_hit is False
         assert len(cache) == 1
-        _, second = solve_with_stats(model, backend="bnb", cache=cache, certify=True)
+        _, second = solve_with_stats(model, backend="bnb", cache=cache)
         assert second.cache_hit is True
         assert second.certified is True
 
@@ -515,9 +494,7 @@ class TestCacheHygiene:
         model = small_milp()
         key = SolveCache.key_for(model, "bnb", {})
         cache.put(key, _corrupt_backend(model))
-        solution, stats = solve_with_stats(
-            model, backend="bnb", cache=cache, certify=True
-        )
+        solution, stats = solve_with_stats(model, backend="bnb", cache=cache)
         assert stats.cache_hit is False
         assert stats.certified is True
         assert solution.values["x"] != -50.0
@@ -566,7 +543,7 @@ class TestCheckpointCertification:
 
         monkeypatch.setattr(batch_module, "execute_task", poisoned_execute)
         checkpoint = tmp_path / "journal.jsonl"
-        report = repair_batch(tasks, checkpoint=str(checkpoint), certify=True)
+        report = repair_batch(tasks, checkpoint=str(checkpoint))
         assert report.n_uncertified == 1
         journaled = [
             json.loads(line)
@@ -579,7 +556,7 @@ class TestCheckpointCertification:
         # The resume replays only the certified neighbours and
         # re-derives (now un-poisoned) task 1 from scratch.
         monkeypatch.setattr(batch_module, "execute_task", real_execute)
-        resumed = repair_batch(tasks, checkpoint=str(checkpoint), certify=True)
+        resumed = repair_batch(tasks, checkpoint=str(checkpoint))
         assert resumed.n_resumed == 2
         assert [r.certified for r in resumed.results] == [True, True, True]
         assert resumed.n_uncertified == 0
@@ -590,13 +567,19 @@ class TestCheckpointCertification:
             RepairTask(database=database, constraints=constraints, name=f"doc{i}")
             for i in range(2)
         ]
-        report = repair_batch(tasks, certify=True)
+        report = repair_batch(tasks)
         assert report.n_certified == 2
         assert report.aggregate()["certified"] == 2.0
         assert "2 certified" in report.summary()
-        off = repair_batch(tasks, certify=False)
-        assert off.n_certified == 0
-        assert all(r.certified is None for r in off.results)
+        # A consistent task carries no repair, so no certificate either.
+        consistent = RepairTask(
+            database=paper_ground_truth(),
+            constraints=constraints,
+            name="clean",
+        )
+        mixed = repair_batch([tasks[0], consistent])
+        assert mixed.n_certified == 1
+        assert [r.certified for r in mixed.results] == [True, None]
 
 
 
@@ -1058,7 +1041,7 @@ class TestFloatPassRuns:
         """A rung the replay rejected and the answer it accepted both
         count; the scipy rung settles in floating point."""
         monkeypatch.setitem(solver._BACKENDS, "bnb", _corrupt_backend)
-        _, stats = solve_with_stats(small_milp(), backend="bnb", certify=True)
+        _, stats = solve_with_stats(small_milp(), backend="bnb")
         assert stats.ladder_steps == ["as-requested", "backend:scipy"]
         assert stats.certify_replays == 1
         assert "certify-replays:1" in str(stats)
@@ -1069,7 +1052,7 @@ class TestFloatPassRuns:
         key = SolveCache.key_for(model, "bnb", {})
         near = _solution_of({"x": 1.0 + 0.75e-6, "y": 0.0}, 1.0)
         cache.put(key, near)
-        _, stats = solve_with_stats(model, backend="bnb", cache=cache, certify=True)
+        _, stats = solve_with_stats(model, backend="bnb", cache=cache)
         assert stats.cache_hit is True
         assert stats.certified is True
         assert stats.certify_replays == 1
@@ -1125,7 +1108,7 @@ def test_bench_gate_fails_any_certificate_replay():
     assert gate.check_scenarios(payload(0), payload(None), 0.10) == [
         "s/bnb/certify_replays: dropped from fresh run"
     ]
-    # An uncertified pair carries no replay count and is not gated on it.
+    # A baseline that predates the replay count is not gated on it.
     assert gate.check_scenarios(payload(None), payload(None), 0.10) == []
 
 

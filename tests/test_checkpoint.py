@@ -60,6 +60,7 @@ def sample_result():
         attempts=2,
         error="primary backend 'scipy' failed: boom",
         wall_time=0.125,
+        certified=True,
         stats=[
             SolveStats(
                 backend="bnb", status="feasible_gap", wall_time=0.1,
@@ -414,20 +415,18 @@ def test_start_run_without_resume_starts_over(tmp_path, workload):
 
 
 def test_journal_worthy_keeps_suspect_answers_out():
-    certified = sample_result()
-    certified.certified = True
-    assert journal_worthy(certified, certify=True)
+    assert journal_worthy(sample_result())
     rejected = sample_result()
     rejected.certified = False
-    assert not journal_worthy(rejected, certify=True)
+    assert not journal_worthy(rejected)
     degraded = sample_result()
     degraded.stats[0].degraded = True
-    assert not journal_worthy(degraded, certify=True)
+    assert not journal_worthy(degraded)
     uncertified = BatchItemResult(index=0, name="u", status="uncertified")
-    assert not journal_worthy(uncertified, certify=True)
-    # With certification off there is no verdict to gate on.
-    assert journal_worthy(rejected, certify=False)
-    assert journal_worthy(degraded, certify=False)
+    assert not journal_worthy(uncertified)
+    # A consistent task carries no repair, so no verdict to gate on.
+    consistent = BatchItemResult(index=0, name="c", status="consistent")
+    assert journal_worthy(consistent)
 
 
 def test_cascade_journal_with_a_budget_header_still_resumes(
@@ -523,6 +522,51 @@ def test_relax_journal_is_refused(tmp_path, workload):
     repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
     as_prior_journal(checkpoint, on_infeasible="relax")
     with pytest.raises(CheckpointError, match="on_infeasible='relax'"):
+        repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+
+
+def test_resume_resolves_a_repaired_record_without_a_certificate(
+    tmp_path, workload, monkeypatch
+):
+    """A journaled repair whose ``certified`` is not True (a journal
+    from before certification, or a doctored one) is re-solved, never
+    replayed; its certified neighbour still replays."""
+    tasks = [make_task(workload, s, name=f"t{i}") for i, s in enumerate(derived_seeds(2))]
+    checkpoint = tmp_path / "batch.jsonl"
+    first = repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+    assert [r.status for r in first.results] == ["repaired", "repaired"]
+    lines = checkpoint.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    assert record["index"] == 1 and record["certified"] is True
+    record["certified"] = None
+    lines[2] = json.dumps(record, separators=(",", ":"))
+    checkpoint.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    solved = []
+    real_execute = batch_module.execute_task
+
+    def counting_execute(task, index, **kwargs):
+        solved.append(index)
+        return real_execute(task, index, **kwargs)
+
+    monkeypatch.setattr(batch_module, "execute_task", counting_execute)
+    resumed = repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+    assert solved == [1]
+    assert [r.resumed for r in resumed.results] == [True, False]
+    assert [r.certified for r in resumed.results] == [True, True]
+    assert resumed.results[1].repair == first.results[1].repair
+
+
+def test_journal_written_without_certification_is_refused(tmp_path, workload):
+    # Its repairs were never certified, so none of them may replay.
+    tasks = [make_task(workload, s, name=f"t{i}") for i, s in enumerate(derived_seeds(2))]
+    checkpoint = tmp_path / "batch.jsonl"
+    repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
+    text = checkpoint.read_text(encoding="utf-8")
+    checkpoint.write_text(
+        text.replace('"certify":true', '"certify":false', 1), encoding="utf-8"
+    )
+    with pytest.raises(CheckpointError, match="certify=False"):
         repair_batch(tasks, workers=None, checkpoint=str(checkpoint))
 
 

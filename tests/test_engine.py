@@ -7,7 +7,6 @@ from repro.constraints.parser import parse_constraints
 from repro.datasets import generate_cash_budget
 from repro.acquisition.ocr import inject_value_errors
 from repro.repair.engine import RepairEngine, UnrepairableError
-from repro.repair.translation import BigMStrategy
 from repro.repair.updates import Repair
 
 
@@ -92,12 +91,12 @@ class TestUnrepairable:
         constraint hi: CashBudget(y, _, _, _, _) => total(y) >= 20
         """
         _, contradictory = parse_constraints(text)
-        engine = RepairEngine(acquired, contradictory, max_escalations=0)
+        engine = RepairEngine(acquired, contradictory)
         with pytest.raises(UnrepairableError):
             engine.find_card_minimal_repair()
 
     def test_infeasible_pins(self, acquired, constraints):
-        engine = RepairEngine(acquired, constraints, max_escalations=0)
+        engine = RepairEngine(acquired, constraints)
         # Pin detail and aggregate to values that cannot be reconciled
         # by any assignment of the remaining cells... actually any two
         # of the three Receipts cells can be reconciled by the third, so
@@ -126,7 +125,3 @@ class TestGeneratedWorkloads:
         # so the card-minimal repair cannot be larger.
         assert outcome.cardinality <= n_errors
         assert engine.is_repair(outcome.repair)
-
-    def test_big_m_strategy_practical_by_default(self, acquired, constraints):
-        engine = RepairEngine(acquired, constraints)
-        assert engine.big_m_strategy is BigMStrategy.PRACTICAL

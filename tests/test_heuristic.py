@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.repair.engine as engine_module
 from repro.acquisition.ocr import inject_value_errors
 from repro.datasets import (
     cash_budget_constraints,
@@ -80,31 +81,21 @@ class TestGreedyRepair:
 
 class TestIncumbentSeeding:
     @pytest.mark.parametrize("backend", ["bnb", "bnb-simplex"])
-    def test_seeded_solve_matches_unseeded_objective(self, backend):
+    def test_seeded_solve_matches_unseeded_objective(self, backend, monkeypatch):
         workload, corrupted, _ = _corrupted(SEEDS[0])
         seeded_engine = RepairEngine(
             corrupted, workload.constraints, backend=backend
         )
         seeded = seeded_engine.find_big_m_repair()
-        plain = RepairEngine(
-            corrupted,
-            workload.constraints,
-            backend=backend,
-            seed_incumbent=False,
-        ).find_big_m_repair()
+        # Without the greedy repair the search runs unseeded.
+        monkeypatch.setattr(engine_module, "greedy_repair", lambda *a, **k: None)
+        plain_engine = RepairEngine(
+            corrupted, workload.constraints, backend=backend
+        )
+        plain = plain_engine.find_big_m_repair()
+        assert not plain_engine.solve_stats[-1].heuristic_seeded
         assert seeded.objective == pytest.approx(plain.objective, abs=1e-6)
         record = seeded_engine.solve_stats[-1]
         if record.heuristic_seeded:
             assert record.heuristic_gap is not None
             assert record.heuristic_gap >= 0.0
-
-    def test_seeding_can_be_disabled(self):
-        workload, corrupted, _ = _corrupted(SEEDS[1])
-        engine = RepairEngine(
-            corrupted,
-            workload.constraints,
-            backend="bnb",
-            seed_incumbent=False,
-        )
-        engine.find_big_m_repair()
-        assert not engine.solve_stats[-1].heuristic_seeded

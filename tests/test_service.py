@@ -26,7 +26,11 @@ from repro.diagnostics import OverloadedError
 from repro.faultinject import FaultConfig
 from repro.repair import service as service_module
 from repro.repair.batch import BatchItemResult, RepairTask
-from repro.repair.checkpoint import CheckpointJournal, task_fingerprint
+from repro.repair.checkpoint import (
+    CheckpointError,
+    CheckpointJournal,
+    task_fingerprint,
+)
 from repro.repair.service import (
     BACKEND_FAULT_STATUSES,
     CircuitBreaker,
@@ -512,7 +516,7 @@ def test_warm_service_restart_does_zero_milp_solves(tmp_path):
 
 
 def test_uncertified_journal_tail_is_resolved_not_replayed(tmp_path):
-    """require_certified: a journaled-but-uncertified repair is re-done."""
+    """A journaled-but-uncertified repair is re-done, not replayed."""
     journal_path = tmp_path / "svc.journal"
     tasks = _tasks(2)
     config = ServiceConfig(checkpoint=str(journal_path))
@@ -533,15 +537,28 @@ def test_uncertified_journal_tail_is_resolved_not_replayed(tmp_path):
 
     journal = CheckpointJournal(journal_path)
     fingerprints = [task_fingerprint(task) for task in tasks]
-    replayed, _ = journal.load_completed(
-        tasks, fingerprints, require_certified=True
-    )
+    replayed, _ = journal.load_completed(tasks, fingerprints)
     assert 0 in replayed and 1 not in replayed  # the tail is re-solved
 
     with RepairService(ServiceConfig(checkpoint=str(journal_path))) as service:
         recovered = service.run(tasks, resume=True)
     assert _signature(recovered) == _signature(clean)
     assert recovered.results[0].resumed and not recovered.results[1].resumed
+
+
+def test_journal_written_without_certification_is_refused(tmp_path):
+    """Its repairs were never certified, so a restart must not replay
+    them."""
+    journal_path = tmp_path / "svc.journal"
+    tasks = _tasks(2)
+    with RepairService(ServiceConfig(checkpoint=str(journal_path))) as service:
+        service.run(tasks)
+    text = journal_path.read_text()
+    assert '"certify":true' in text.splitlines()[0]
+    journal_path.write_text(text.replace('"certify":true', '"certify":false', 1))
+    with RepairService(ServiceConfig(checkpoint=str(journal_path))) as service:
+        with pytest.raises(CheckpointError, match="certify=False"):
+            service.run(tasks)
 
 
 def test_prior_service_journal_resumes_without_solving(tmp_path, monkeypatch):

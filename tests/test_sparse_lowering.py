@@ -193,14 +193,3 @@ class TestPermutationMetamorphic:
         assert base.status is permuted.status
         if base.status is SolveStatus.OPTIMAL:
             assert permuted.objective == pytest.approx(base.objective, abs=1e-6)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_row_permutation_mps_export_is_stable_per_model(self, seed):
-        # Determinism of the sparse export: the same model must always
-        # produce the same bytes (dict iteration order must not leak).
-        from repro.milp.mps import write_mps_arrays
-
-        model = random_grounded_milp(seed)
-        first = write_mps_arrays(lower_model_sparse(model), name="m")
-        second = write_mps_arrays(lower_model_sparse(model), name="m")
-        assert first == second
